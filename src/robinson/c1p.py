@@ -1,9 +1,12 @@
 """Consecutive-ones property testing over 0/1 matrices, with PQ-trees.
 
-Booth-Lueker style template reduction, one column at a time.  Per-column
-cost is linear in the tree size rather than amortized-linear overall; at the
-desk scale this package targets (hundreds of rows) that is irrelevant, and
-correctness is the contract.
+Booth-Lueker style template reduction, one column at a time.  A column is
+an int bitset over the rows, and every node carries its leaf set as an int
+mask, so a child is classified empty, full or partial by one AND.  A column
+touches only the path down to its pertinent root, that root's children and
+the chain of partial nodes below it; a full, contiguous run under a Q-node
+root is left as it is.  Everything is plain loops: no recursion, and no
+process-global state such as the recursion limit is touched.
 
 A P-node's children may be permuted arbitrarily, a Q-node's children may
 only be reversed.  The frontier (leaves left to right) of any arrangement
@@ -13,7 +16,6 @@ set of frontiers is exactly the set of valid row orders.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,12 +30,20 @@ _EMPTY, _FULL, _PARTIAL = 0, 1, 2
 
 
 class _Node:
-    __slots__ = ("kind", "children", "row")
+    """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
+    construction: the templates rearrange a subtree but never change the
+    leaves under a node, so the mask never goes stale."""
+
+    __slots__ = ("kind", "children", "row", "mask")
 
     def __init__(self, kind: str, children: Optional[list["_Node"]] = None, row: int = -1):
         self.kind = kind
         self.children: list[_Node] = children if children is not None else []
         self.row = row
+        mask = 1 << row if kind == LEAF else 0
+        for c in self.children:
+            mask |= c.mask
+        self.mask = mask
 
     def __repr__(self) -> str:  # debugging aid
         if self.kind == LEAF:
@@ -65,15 +75,16 @@ class BinaryMatrix:
     data: tuple[tuple[int, ...], ...]
 
     def __init__(self, data: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(row) for row in data)
         if not rows:
             raise InputError("binary matrix needs at least one row")
         width = len(rows[0])
         for r in rows:
             if len(r) != width:
                 raise InputError("binary matrix rows must have equal length")
-            if any(x not in (0, 1) for x in r):
+            if any(x not in (0, 1) for x in r):  # before int(), which would truncate 0.5 to 0
                 raise InputError("binary matrix entries must be 0 or 1")
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", rows)
@@ -160,210 +171,157 @@ def enumerate_frontiers(t: PQTree, max_leaves: int = 8) -> set[tuple[int, ...]]:
     return set(orders(t._root))
 
 
-def _counts(root: _Node, s: frozenset[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-node pertinent-leaf counts and total-leaf counts (keyed by id)."""
-    counts: dict[int, int] = {}
-    totals: dict[int, int] = {}
-
-    def walk(node: _Node) -> tuple[int, int]:
-        if node.kind == LEAF:
-            c, t = (1 if node.row in s else 0), 1
-        else:
-            c = t = 0
-            for ch in node.children:
-                cc, tt = walk(ch)
-                c += cc
-                t += tt
-        counts[id(node)] = c
-        totals[id(node)] = t
-        return c, t
-
-    walk(root)
-    return counts, totals
+def _states(children: list[_Node], hits: list[int]) -> list[int]:
+    """Classify each child by its pertinent leaves (`hits`: mask & column)."""
+    return [_EMPTY if not h else _FULL if h == c.mask else _PARTIAL for c, h in zip(children, hits)]
 
 
-def _match_q(seq: list[tuple[int, object]]) -> Optional[list[_Node]]:
-    """Read the child sequence as empties, then at most one partial, then
-    fulls; return the flattened empty-to-full payload, or None."""
+def _split(children: list[_Node], states: list[int]) -> tuple[list[_Node], list[_Node]]:
+    """The empty children and the full children, each in order."""
+    empties = [c for c, st in zip(children, states) if st == _EMPTY]
+    fulls = [c for c, st in zip(children, states) if st == _FULL]
+    return empties, fulls
+
+
+def _match_q(children: list[_Node], states: list[int], inner: list[_Node]) -> Optional[list[_Node]]:
+    """Read a Q-node's children as empties, then at most one partial (whose
+    payload is `inner`), then fulls; return the flattened empty-to-full
+    payload, or None."""
     payload: list[_Node] = []
-    i, n = 0, len(seq)
-    while i < n and seq[i][0] == _EMPTY:
-        payload.append(seq[i][1])  # type: ignore[arg-type]
+    i, n = 0, len(states)
+    while i < n and states[i] == _EMPTY:
+        payload.append(children[i])
         i += 1
-    if i < n and seq[i][0] == _PARTIAL:
-        payload.extend(seq[i][1])  # type: ignore[arg-type]
+    if i < n and states[i] == _PARTIAL:
+        payload.extend(inner)
         i += 1
-    while i < n and seq[i][0] == _FULL:
-        payload.append(seq[i][1])  # type: ignore[arg-type]
+    while i < n and states[i] == _FULL:
+        payload.append(children[i])
         i += 1
     return payload if i == n else None
 
 
-def _reduce_node(node: _Node, counts: dict[int, int], totals: dict[int, int], root: bool):
-    """Apply the reduction templates.
+def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
+    """Apply the templates to a partial node below the pertinent root.
 
-    Non-root: returns (_EMPTY|_FULL, node) or (_PARTIAL, payload) where the
-    payload is a flat list of nodes ordered empty side to full side, to be
-    materialized as (part of) a Q-node by the caller; None means the column
-    cannot be made consecutive.
-    Root (pertinent root): returns the replacement node, or None.
+    Returns the node's subtree as a flat list of nodes ordered empty side
+    to full side, to be spliced into a Q-node by the caller, or None if the
+    column cannot be made consecutive.  A partial node below the root may
+    have at most one partial child, so the partial nodes form a chain: it
+    is walked down, then rebuilt bottom-up, without recursion.
     """
-    if node.kind == LEAF:
-        state = _FULL if counts[id(node)] else _EMPTY
-        return node if root else (state, node)
-
-    if node.kind == P:
-        empties: list[_Node] = []
-        fulls: list[_Node] = []
-        partials: list[list[_Node]] = []
-        for c in node.children:
-            k = counts[id(c)]
-            if k == 0:
-                empties.append(c)
-            elif k == totals[id(c)]:
-                fulls.append(c)
-            else:
-                res = _reduce_node(c, counts, totals, False)
-                if res is None:
-                    return None
-                partials.append(res[1])
-        if not root:
-            if not partials:
-                if not empties:
-                    return (_FULL, node)
-                if not fulls:
-                    return (_EMPTY, node)
-                return (_PARTIAL, [_make_p(empties), _make_p(fulls)])
-            if len(partials) == 1:
-                payload = [_make_p(empties)] if empties else []
-                payload.extend(partials[0])
-                if fulls:
-                    payload.append(_make_p(fulls))
-                return (_PARTIAL, payload)
+    chain: list[tuple[_Node, list[int]]] = []
+    while True:
+        states = _states(node.children, [c.mask & s for c in node.children])
+        chain.append((node, states))
+        k = states.count(_PARTIAL)
+        if k > 1:
             return None
-        # pertinent root
+        if not k:
+            break
+        node = node.children[states.index(_PARTIAL)]
+    payload: list[_Node] = []  # of the partial child below, once there is one
+    for node, states in reversed(chain):
+        if node.kind == P:
+            empties, fulls = _split(node.children, states)
+            payload = ([_make_p(empties)] if empties else []) + payload
+            if fulls:
+                payload.append(_make_p(fulls))
+            continue
+        q = _match_q(node.children, states, payload)
+        if q is None:
+            q = _match_q(node.children[::-1], states[::-1], payload)
+        if q is None:
+            return None
+        payload = q
+    return payload
+
+
+def _reduce_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
+    """Apply the templates at the pertinent root, given each child's
+    pertinent leaves; return the replacement node (same leaf set), or None."""
+    children = node.children
+    if node.kind == P:
+        states = _states(children, hits)
+        empties, fulls = _split(children, states)
+        partials = [c for c, st in zip(children, states) if st == _PARTIAL]
         if not partials:
             if not empties:
                 return node  # entire subtree is full: already a block
-            mid = [_make_p(fulls)]
-        elif len(partials) == 1:
-            inner = list(partials[0])
-            if fulls:
-                inner.append(_make_p(fulls))
-            mid = [_make_q(inner)]
-        elif len(partials) == 2:
-            inner = list(partials[0])
-            if fulls:
-                inner.append(_make_p(fulls))
-            inner.extend(reversed(partials[1]))
-            mid = [_make_q(inner)]
+            mid = _make_p(fulls)
         else:
-            return None
-        children = empties + mid
-        if len(children) == 1:
-            return children[0]
-        node.children = children
+            if len(partials) > 2:
+                return None
+            payloads = [_reduce_partial(c, s) for c in partials]
+            if any(p is None for p in payloads):
+                return None
+            inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
+            if len(payloads) == 2:
+                inner.extend(reversed(payloads[1]))
+            mid = _make_q(inner)
+        if not empties:
+            return mid
+        node.children = empties + [mid]
         return node
 
-    # Q-node
-    seq: list[tuple[int, object]] = []
-    for c in node.children:
-        k = counts[id(c)]
-        if k == 0:
-            seq.append((_EMPTY, c))
-        elif k == totals[id(c)]:
-            seq.append((_FULL, c))
-        else:
-            res = _reduce_node(c, counts, totals, False)
-            if res is None:
-                return None
-            seq.append((_PARTIAL, res[1]))
-    if not root:
-        payload = _match_q(seq)
-        if payload is None:
-            payload = _match_q(list(reversed(seq)))
-        if payload is None:
-            return None
-        return (_PARTIAL, payload)
-    # pertinent root: empties, optional partial, fulls, optional partial, empties
-    states = [s for s, _ in seq]
-    block = [i for i, s in enumerate(states) if s != _EMPTY]
-    lo, hi = block[0], block[-1]
-    if hi - lo + 1 != len(block):
+    # Q-node: empties, optional partial, fulls, optional partial, empties.
+    # The non-empty run [lo, hi] is found by C-level list scans, so the
+    # Python-level work is proportional to the pertinent children only.
+    lo = hits.index(next(filter(None, hits)))
+    hi = len(hits) - 1 - hits[::-1].index(next(filter(None, reversed(hits))))
+    if hi - lo + 1 != len(hits) - hits.count(0):
         return None
-    if any(states[i] != _FULL for i in range(lo + 1, hi)):
+    if hits[lo + 1 : hi] != [c.mask for c in children[lo + 1 : hi]]:
         return None
-    children: list[_Node] = [item for _, item in seq[:lo]]  # type: ignore[misc]
-    first_state, first_item = seq[lo]
-    if first_state == _PARTIAL:
-        children.extend(first_item)  # type: ignore[arg-type]
-    else:
-        children.append(first_item)  # type: ignore[arg-type]
-    children.extend(item for _, item in seq[lo + 1 : hi])  # type: ignore[misc]
-    if hi > lo:
-        last_state, last_item = seq[hi]
-        if last_state == _PARTIAL:
-            children.extend(reversed(last_item))  # type: ignore[arg-type]
-        else:
-            children.append(last_item)  # type: ignore[arg-type]
-    children.extend(item for _, item in seq[hi + 1 :])  # type: ignore[misc]
-    node.children = children
+    first_full, last_full = hits[lo] == children[lo].mask, hits[hi] == children[hi].mask
+    if first_full and last_full:
+        return node  # the pertinent children already form a full, contiguous run
+    first = [children[lo]] if first_full else _reduce_partial(children[lo], s)
+    last = [children[hi]] if last_full else _reduce_partial(children[hi], s)
+    if first is None or last is None:
+        return None
+    node.children = children[:lo] + first + children[lo + 1 : hi] + last[::-1] + children[hi + 1 :]
     return node
 
 
-def _reduce(root: _Node, s: frozenset[int]) -> Optional[_Node]:
-    counts, totals = _counts(root, s)
-    size = len(s)
-    # descend to the pertinent root: deepest node containing all of s
-    path: list[_Node] = []
-    node = root
-    while node.kind != LEAF:
-        nxt = None
-        for c in node.children:
-            if counts[id(c)] == size:
-                nxt = c
-                break
-        if nxt is None:
-            break
-        path.append(node)
-        node = nxt
-    replacement = _reduce_node(node, counts, totals, True)
-    if replacement is None:
-        return None
-    if not path:
+def _reduce(root: _Node, s: int) -> Optional[_Node]:
+    """Reduce the tree by one column; return the new root, or None."""
+    # descend to the pertinent root: the deepest node containing all of s
+    parent, node = None, root
+    hits = [c.mask & s for c in node.children]
+    while s in hits:
+        parent, node = node, node.children[hits.index(s)]
+        hits = [c.mask & s for c in node.children]
+    replacement = _reduce_root(node, hits, s)
+    if replacement is None or parent is None:
         return replacement
     if replacement is not node:
-        parent = path[-1]
         parent.children[parent.children.index(node)] = replacement
     return root
 
 
-def reduce_columns(rows: int, columns: Iterable[frozenset[int]]) -> Optional[PQTree]:
-    """Reduce a universal tree by the given row-index sets, in order.
+def reduce_columns(rows: int, columns: Iterable[int]) -> Optional[PQTree]:
+    """Reduce a universal tree by the given columns, in order.
 
+    A column is an int bitset whose bit r is set iff row r holds a 1.
     Trivial columns (at most one 1 or all rows) and duplicates impose
-    nothing new and are skipped.  The shared core behind test_c1p and the
-    segment-matrix recognizer.
+    nothing new and are skipped.  Columns are read lazily, so on a NO
+    answer none past the first failing column is ever built.  The shared
+    core behind test_c1p and the segment-matrix recognizer.
     """
     if rows == 1:
         return PQTree(_Node(LEAF, row=0), 1)
     root = _Node(P, [_Node(LEAF, row=r) for r in range(rows)])
-    seen: set[frozenset[int]] = set()
-    limit = sys.getrecursionlimit()
-    if limit < 10 * rows + 1000:
-        sys.setrecursionlimit(10 * rows + 1000)
-    try:
-        for s in columns:
-            if len(s) <= 1 or len(s) == rows or s in seen:
-                continue
-            seen.add(s)
-            result = _reduce(root, s)
-            if result is None:
-                return None
-            root = result
-    finally:
-        if sys.getrecursionlimit() != limit:
-            sys.setrecursionlimit(limit)
+    full = root.mask
+    seen: set[int] = set()
+    for s in columns:
+        if s.bit_count() <= 1 or s == full or s in seen:
+            continue
+        seen.add(s)
+        result = _reduce(root, s)
+        if result is None:
+            return None
+        root = result
     return PQTree(root, rows)
 
 
@@ -374,7 +332,9 @@ def test_c1p(m: BinaryMatrix) -> Optional[PQTree]:
     Columns with at most one 1, full columns, and duplicate columns impose
     nothing new and are filtered first.
     """
-    return reduce_columns(m.rows, m.column_sets())
+    # column j as an int whose bit r is row r's entry: the reversed 0/1 digits
+    columns = (int("".join(map(str, reversed(col))), 2) for col in zip(*m.data))
+    return reduce_columns(m.rows, columns)
 
 
 test_c1p.__test__ = False  # keep pytest from collecting the library function

@@ -108,12 +108,18 @@ def read_binary_matrix(path: str | Path) -> BinaryMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise InputError(f"binary matrix file: bad header {lines[0]!r}")
-    rows, cols = int(header[0]), int(header[1])
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise InputError(f"binary matrix file: bad header {lines[0]!r}") from exc
     if len(lines) != rows + 1:
         raise InputError(f"binary matrix file: expected {rows} rows, found {len(lines) - 1}")
     data = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError as exc:
+            raise InputError(f"binary matrix file: bad row {ln!r}") from exc
         if len(row) != cols:
             raise InputError(f"binary matrix file: row of length {len(row)}, expected {cols}")
         data.append(row)

@@ -2,7 +2,8 @@
 
 A space is two-way-Robinson iff some total order makes every segment
 S(x,y) an interval, which is a consecutive-ones question on the n x (n^2-n)
-segment membership matrix.  Total cost O(n^3).
+segment membership matrix.  The membership tensor is built vectorised in
+O(n^3); its x < y columns go to the C1P reducer as int bitsets.
 """
 
 from __future__ import annotations
@@ -74,25 +75,18 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     segment an interval, or None if the space is not two-way-Robinson.
 
     Ordered-pair columns come in identical (x,y)/(y,x) twins; only the x < y
-    half is built.  The returned order is the PQ-tree's leftmost frontier.
+    half is used.  Its columns are bit-packed once and handed to the C1P
+    reducer as a lazy stream of int bitsets, so a NO answer builds none
+    past the first failing column.  The returned order is the PQ-tree's
+    leftmost frontier.
     """
     n = space.n
-    if n == 1:
-        t = reduce_columns(1, [])
-        assert t is not None
-        return (0,), t
     member = _membership_tensor(space)
-    upper = [x * n + y for x in range(n) for y in range(x + 1, n)]
-    cols = member.reshape(n * n, n)[upper]
-    packed = np.packbits(cols, axis=1)
-    seen: set[bytes] = set()
-    columns = []
-    for idx in range(len(upper)):
-        key = packed[idx].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        columns.append(frozenset(np.flatnonzero(cols[idx]).tolist()))
+    upper = ~np.tri(n, dtype=bool)  # x < y, in row-major (x, y) order
+    packed = np.packbits(member[upper], axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    columns = (int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
     tree = reduce_columns(n, columns)
     if tree is None:
         return None

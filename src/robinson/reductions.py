@@ -81,10 +81,16 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InputError(f"bad DIMACS header: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise InputError(f"bad DIMACS header: {line!r}") from exc
             continue
         for tok in line.split():
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError as exc:
+                raise InputError(f"bad DIMACS literal {tok!r} in line {line!r}") from exc
             if v == 0:
                 clauses.append(literals)
                 literals = []

@@ -8,6 +8,7 @@ exercises every reduction template.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from robinson import (
     frontier,
     test_c1p,
 )
+from robinson.c1p import reduce_columns
 from robinson.oracle import brute_c1p
 from support import planted_c1p_matrix, valid_c1p_perms
 
@@ -58,6 +60,11 @@ class TestBasics:
         with pytest.raises(InputError):
             BinaryMatrix([[0, 1], [1]])
 
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(InputError):
+            BinaryMatrix([[0.5, 1.9]])
+        assert BinaryMatrix([[0.0, 1.0]]).data == ((0, 1),)
+
     def test_frontier_guard(self):
         m = BinaryMatrix([[1] for _ in range(9)])
         t = test_c1p(m)
@@ -70,6 +77,44 @@ class TestBasics:
         t = test_c1p(m)
         assert t is not None
         t.validate()
+
+
+def consecutive(position, column) -> bool:
+    pos = sorted(position[r] for r in column)
+    return pos[-1] - pos[0] + 1 == len(pos)
+
+
+class TestBitsetColumns:
+    def test_int_columns(self):
+        t = reduce_columns(4, [0b0011, 0b0110, 0b1100])
+        assert t is not None
+        assert frontier(t) in ((0, 1, 2, 3), (3, 2, 1, 0))
+
+    def test_stops_reading_at_first_failing_column(self):
+        read = []
+
+        def columns():
+            for s in (0b011, 0b110, 0b101, 0b111, 0b001):
+                read.append(s)
+                yield s
+
+        assert reduce_columns(3, columns()) is None
+        assert read == [0b011, 0b110, 0b101]
+
+    def test_deep_partial_chain_leaves_recursion_limit_alone(self, monkeypatch):
+        # nested prefixes {0..j} build a k-deep chain of P-nodes; {0, k+1}
+        # then makes every node on that chain partial
+        def refuse(limit):
+            raise AssertionError("sys.setrecursionlimit called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        k = 1500
+        cols = [set(range(j + 1)) for j in range(1, k + 1)] + [{0, k + 1}]
+        t = test_c1p(from_cols(k + 2, cols))
+        assert t is not None
+        t.validate()
+        position = {r: i for i, r in enumerate(frontier(t))}
+        assert all(consecutive(position, c) for c in cols)
 
 
 class TestFrontier:

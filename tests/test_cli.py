@@ -4,11 +4,16 @@ orient-then-check round trips."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robinson
 from robinson import DissimilaritySpace, OrientedTree, Tree
 from robinson.cli import main
 from robinson.fileio import (
@@ -114,6 +119,33 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "recognize", "/nonexistent/m.matrix")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["3 x\n1 1 0\n", "2 2\n1 x\n0 1\n"])
+    def test_malformed_binary_matrix(self, tmp_path, capsys, text):
+        path = tmp_path / "b.matrix"
+        path.write_text(text)
+        code, _, err = run(capsys, "oracle", "c1p", str(path))
+        assert code == 2
+        assert "error" in err
+
+    def test_malformed_dimacs_header(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf x 1\n1 2 3 0\n")
+        code, _, err = run(capsys, "gen", "sat", str(path), "--out-prefix", str(tmp_path / "inst"))
+        assert code == 2
+        assert "error" in err
+
+    def test_module_entry_point_exit_code(self, tmp_path):
+        path = tmp_path / "m.matrix"
+        write_matrix(ASYM3, path)
+        src = str(Path(robinson.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "robinson.cli", "recognize", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert parse_text(proc.stdout)["answer"] == "NO"
 
 
 class TestCommands:

@@ -149,6 +149,19 @@ class TestRecognize:
                     ps = sorted(pos[t] for t in segment(space, x, y).members)
                     assert ps[-1] - ps[0] + 1 == len(ps)
 
+    @pytest.mark.parametrize("n", [40, 80, 120])
+    def test_beyond_brute_force_scale(self, n):
+        rng = random.Random(n)
+        space, _ = planted_two_way_space(rng, n)
+        res = recognize_two_way(space)
+        assert res is not None
+        assert is_two_way_order(space, res[0])
+        # two-way-Robinson is hereditary, so a non-two-way triple makes it NO
+        d = np.array(space.d)
+        idx = rng.sample(range(n), 3)
+        d[np.ix_(idx, idx)] = ASYM3.d
+        assert recognize_two_way(DissimilaritySpace(d)) is None
+
     def test_pq_tree_frontiers_all_compatible(self):
         res = recognize_two_way(CHAIN3)
         assert res is not None
