@@ -19,7 +19,7 @@ from .core import (
     reachability,
 )
 from .errors import InputError, PreconditionError, SizeGuardError
-from .paths import EtaTable, PathDPTables, eta_table, path_orientation, reconstruct_orientation
+from .paths import EtaTable, eta_table, path_orientation
 from .recognition import Segment, SegmentMatrix, build_segment_matrix, recognize_two_way, segment
 from .reductions import (
     Cnf3,
@@ -35,8 +35,6 @@ from .reductions import (
 )
 from .stars import PetalPartition, StarAssignment, assign_star, orient_star, petals
 from .uniform_orient import (
-    NeighborWeights,
-    PartitionTable,
     find_centroid,
     has_central_vertex,
     optimal_partition_of_neighbors,
@@ -50,12 +48,9 @@ __all__ = [
     "DissimilaritySpace",
     "EtaTable",
     "InputError",
-    "NeighborWeights",
     "OrientationInstance",
     "OrientedTree",
     "PQTree",
-    "PartitionTable",
-    "PathDPTables",
     "PetalPartition",
     "PreconditionError",
     "Segment",
@@ -90,7 +85,6 @@ __all__ = [
     "petals",
     "reachability",
     "recognize_two_way",
-    "reconstruct_orientation",
     "segment",
     "test_c1p",
     "witness_orientation",

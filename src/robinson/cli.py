@@ -50,49 +50,39 @@ class RunReport:
     kappa: Optional[int] = None
     elapsed_ms: float = field(default=0.0)
 
+    def _fields(self):
+        """(key, text form, JSON form) of every payload field that is set."""
+        for attr, key, text, as_json in _FIELDS:
+            value = getattr(self, attr)
+            if value is not None:
+                yield key, text(value), as_json(value)
+
     def render_text(self) -> str:
-        lines = [f"answer: {self.answer}"]
-        if self.xi is not None:
-            lines.append(f"xi: {self.xi}")
-        if self.order is not None:
-            lines.append("order: " + " ".join(map(str, self.order)))
-        if self.orientation is not None:
-            lines.append("orientation: " + " ".join(f"{u}>{v}" for u, v in self.orientation))
-        if self.center is not None:
-            lines.append(f"center: {self.center}")
-        if self.in_set is not None:
-            lines.append("in: " + " ".join(map(str, self.in_set)))
-        if self.out_set is not None:
-            lines.append("out: " + " ".join(map(str, self.out_set)))
-        if self.petals is not None:
-            lines.append("petals: " + " | ".join(" ".join(map(str, p)) for p in self.petals))
-        if self.subset is not None:
-            lines.append("subset: " + " ".join(map(str, self.subset)))
-        if self.kappa is not None:
-            lines.append(f"kappa: {self.kappa}")
+        lines = [f"answer: {self.answer}"] + [f"{k}: {t}" for k, t, _ in self._fields()]
         return "\n".join(lines)
 
     def render_json(self) -> str:
-        payload: dict = {"answer": self.answer}
-        if self.xi is not None:
-            payload["xi"] = self.xi
-        if self.order is not None:
-            payload["order"] = list(self.order)
-        if self.orientation is not None:
-            payload["orientation"] = [[u, v] for u, v in self.orientation]
-        if self.center is not None:
-            payload["center"] = self.center
-        if self.in_set is not None:
-            payload["in"] = list(self.in_set)
-        if self.out_set is not None:
-            payload["out"] = list(self.out_set)
-        if self.petals is not None:
-            payload["petals"] = [list(p) for p in self.petals]
-        if self.subset is not None:
-            payload["subset"] = list(self.subset)
-        if self.kappa is not None:
-            payload["kappa"] = self.kappa
-        return json.dumps(payload)
+        return json.dumps({"answer": self.answer} | {k: j for k, _, j in self._fields()})
+
+
+def _ints(values) -> str:
+    return " ".join(map(str, values))
+
+
+# RunReport payload fields in output order: (attribute, key of both the text
+# line and the JSON member, text form, JSON form)
+_FIELDS = (
+    ("xi", "xi", str, int),
+    ("order", "order", _ints, list),
+    ("orientation", "orientation", lambda arcs: " ".join(f"{u}>{v}" for u, v in arcs),
+     lambda arcs: [list(a) for a in arcs]),
+    ("center", "center", str, int),
+    ("in_set", "in", _ints, list),
+    ("out_set", "out", _ints, list),
+    ("petals", "petals", lambda ps: " | ".join(map(_ints, ps)), lambda ps: [list(p) for p in ps]),
+    ("subset", "subset", _ints, list),
+    ("kappa", "kappa", str, int),
+)
 
 
 def _out(prefix: str, ext: str) -> Path:
@@ -144,7 +134,7 @@ def _cmd_orient_star(args) -> RunReport:
 def _cmd_orient_path(args) -> RunReport:
     space = fileio.read_matrix(args.matrix)
     order = _parse_order(args.order, space.n)
-    _, ot, xi = path_orientation(space, order, restricted_splits=args.restricted_splits)
+    _, ot, xi = path_orientation(space, order)
     return RunReport("orient path", "YES", xi=xi, orientation=ot.arcs)
 
 
@@ -269,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("path", help="labeled path, symmetric d")
     p.add_argument("matrix")
     p.add_argument("--order", required=True, help="comma-separated vertex sequence")
-    p.add_argument("--restricted-splits", action="store_true")
     p.set_defaults(func=_cmd_orient_path)
 
     assign = sub.add_parser("assign", help="assignment variants")

@@ -231,15 +231,12 @@ def reachability(ot: OrientedTree) -> set[tuple[int, int]]:
     return pairs
 
 
-def count_xi(ot: OrientedTree) -> int:
-    """Number of directed paths of length >= 1 (= ordered reachable pairs).
-
-    Simple paths in a tree are unique, so this is sum over vertices of the
-    out-reachable set size, computed in O(n).
+def reach_sizes(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """Per vertex, how many vertices it reaches along the arcs ``adj``
+    (itself excluded).  ``adj`` is an oriented tree's out- or in-adjacency,
+    so reachable sets below a vertex are disjoint.  O(n) post-order DFS.
     """
-    n = ot.tree.n
-    out = ot.out_adjacency
-    size = [-1] * n  # vertices reachable from x (x excluded)
+    size = [-1] * n
     for root in range(n):
         if size[root] >= 0:
             continue
@@ -247,13 +244,22 @@ def count_xi(ot: OrientedTree) -> int:
         while stack:
             x, done = stack.pop()
             if done:
-                size[x] = sum(1 + size[y] for y in out[x])
+                size[x] = sum(1 + size[y] for y in adj[x])
             elif size[x] < 0:
                 stack.append((x, True))
-                for y in out[x]:
+                for y in adj[x]:
                     if size[y] < 0:
                         stack.append((y, False))
-    return sum(size)
+    return size
+
+
+def count_xi(ot: OrientedTree) -> int:
+    """Number of directed paths of length >= 1 (= ordered reachable pairs).
+
+    Simple paths in a tree are unique, so this is sum over vertices of the
+    out-reachable set size, computed in O(n).
+    """
+    return sum(reach_sizes(ot.tree.n, ot.out_adjacency))
 
 
 def maximal_directed_paths(ot: OrientedTree) -> Iterable[VertexOrder]:

@@ -1,12 +1,13 @@
 """Optimal orientation of a labeled path under symmetric d.
 
-eta[i] is the farthest position a monotone run starting at i can reach
-while staying Robinson; the optimum for a segment is either one monotone
-run or a split at a breakpoint that no directed path crosses, which is an
-interval DP over (i, j) with eta supplying the base case.
+A compatible orientation cuts the path into runs that share their end
+vertices and alternate in direction; each run must be Robinson and adds
+C(run length, 2) directed paths.  eta[i] is the farthest position a run
+starting at i can reach while staying Robinson, and the optimum is a 1-D
+DP over run ends bounded by eta.
 
-This module is 1-based internally so the two loops mirror the run-table
-and DP pseudocode line by line; the public types are 0-based.
+The run-table scan is 1-based so it mirrors its pseudocode line by line;
+the public types are 0-based.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class EtaTable:
 
     compressed: tuple[tuple[int, int], ...]
     expanded: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathDPTables:
-    """m[i][j]: max directed-path count over compatible orientations of
-    positions i..j.  p[i][j] = 0 means a monotone run is optimal; otherwise
-    it is a breakpoint k (i < k < j) with m[i][j] = m[i][k] + m[k][j].
-    0-based positions."""
-
-    m: tuple[tuple[int, ...], ...]
-    p: tuple[tuple[int, ...], ...]
 
 
 def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> None:
@@ -89,84 +79,35 @@ def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
 
 
 def path_orientation(
-    space: DissimilaritySpace,
-    order: Sequence[int],
-    restricted_splits: bool = False,
-) -> tuple[PathDPTables, OrientedTree, int]:
-    """Interval DP over path segments; returns the tables, an orientation
-    attaining m[first][last], and that count.  O(n^3).
+    space: DissimilaritySpace, order: Sequence[int]
+) -> tuple[EtaTable, OrientedTree, int]:
+    """The eta table, an optimal compatible orientation of the path, and
+    its directed-path count.  O(n^2).
 
-    With restricted_splits, interior candidates are limited to the positions
-    appearing in the compressed eta sequence (same optimum, fewer k's).
+    best[a] is the optimum over positions a..n-1: the first run ends at some
+    b <= eta[a] and contributes C(b-a+1, 2).  b is scanned upward and only a
+    strictly better value replaces the incumbent, so every first run is the
+    shortest optimal one and the breakpoints are the lexicographically
+    smallest optimal set.  Runs alternate, the first one left to right.
     """
-    _check_path_inputs(space, order)
-    n = len(order)
-    if n == 1:
-        tables = PathDPTables(((0,),), ((0,),))
-        return tables, OrientedTree(Tree(1, []), []), 0
     eta = eta_table(space, order)
-    eta1 = [0] + [e + 1 for e in eta.expanded]  # 1-based values per 1-based start
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    pmat = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i < j and j <= eta1[i]:
-                m[i][j] = (j - i + 1) * (j - i) // 2
-    if restricted_splits:
-        cand = sorted(
-            {i + 1 for i, _ in eta.compressed[1:]} | {j + 1 for _, j in eta.compressed}
-        )
-    else:
-        cand = list(range(1, n + 1))
-    for span in range(1, n):
-        for i in range(1, n - span + 1):
-            j = i + span
-            for k in cand:
-                if k <= i:
-                    continue
-                if k >= j:
-                    break
-                if m[i][j] < m[i][k] + m[k][j]:
-                    m[i][j] = m[i][k] + m[k][j]
-                    pmat[i][j] = k
-    tables = PathDPTables(
-        tuple(tuple(m[i][j] for j in range(1, n + 1)) for i in range(1, n + 1)),
-        tuple(
-            tuple(pmat[i][j] - 1 if pmat[i][j] else 0 for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        ),
-    )
-    ot = reconstruct_orientation(tables, space, order)
-    return tables, ot, m[1][n]
-
-
-def reconstruct_orientation(
-    tables: PathDPTables, space: DissimilaritySpace, order: Sequence[int]
-) -> OrientedTree:
-    """Split recursively at the recorded breakpoints, then orient the
-    resulting monotone runs alternately starting left-to-right, so every
-    breakpoint is a local source or sink.  O(n)."""
     n = len(order)
-    tree = Tree(n, [(order[t], order[t + 1]) for t in range(n - 1)])
-    if n == 1:
-        return OrientedTree(tree, [])
-    p = tables.p
-    breaks: list[int] = []
-    stack = [(0, n - 1)]
-    while stack:
-        i, j = stack.pop()
-        k = p[i][j]
-        if k == 0:
-            continue
-        if not i < k < j:
-            raise InputError(f"inconsistent DP tables: split {k} outside ({i}, {j})")
-        breaks.append(k)
-        stack.append((i, k))
-        stack.append((k, j))
-    bounds = [0] + sorted(breaks) + [n - 1]
+    best = [0] * n
+    run_end = [0] * n
+    for a in range(n - 2, -1, -1):
+        top = -1
+        for b in range(a + 1, eta.expanded[a] + 1):
+            val = (b - a + 1) * (b - a) // 2 + best[b]
+            if val > top:
+                top, run_end[a] = val, b
+        best[a] = top
     arcs: list[tuple[int, int]] = []
-    for run, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        for a in range(lo, hi):
-            u, v = order[a], order[a + 1]
-            arcs.append((u, v) if run % 2 == 0 else (v, u))
-    return OrientedTree(tree, arcs)
+    a, forward = 0, True
+    while a < n - 1:
+        b = run_end[a]
+        for t in range(a, b):
+            u, v = order[t], order[t + 1]
+            arcs.append((u, v) if forward else (v, u))
+        a, forward = b, not forward
+    tree = Tree(n, [(order[t], order[t + 1]) for t in range(n - 1)])
+    return eta, OrientedTree(tree, arcs), best[0]

@@ -3,8 +3,9 @@
 Two neighbors t, z of a center x are forced to share their edge direction
 whenever d(t,z) < max(d(x,t), d(x,z)); petals are the closure classes of
 that relation.  Petals orient as blocks, so the optimal star orientation is
-a balanced partition over petal sizes, and star assignment is an exact
-subset-sum over petal sizes tried per candidate center.
+a balanced subset-sum over petal sizes with a closed-form xi, and star
+assignment is an exact subset-sum over petal sizes tried per candidate
+center.  Both use the one bitset subset-sum in `uniform_orient`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, count_xi
+from .core import DissimilaritySpace, OrientedTree, Tree
 from .errors import InputError, PreconditionError
-from .uniform_orient import optimal_partition_of_neighbors
+from .uniform_orient import _subset_sum, optimal_partition_of_neighbors
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,23 @@ def orient_star(
     space: DissimilaritySpace, t: Tree, center: int
 ) -> tuple[OrientedTree, int]:
     """Optimal compatible orientation of a star: whole petals in or out,
-    the In total chosen by the balanced-partition table over petal sizes."""
+    the In total k chosen by the balanced subset-sum over petal sizes.
+    Each leaf-center arc is a path and every In leaf reaches every Out
+    leaf, so xi = (n-1) + k*(n-1-k)."""
     _require_symmetric(space)
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if not t.is_star(center):
         raise InputError(f"tree is not a star centered at {center}")
+    n = t.n
     part = petals(space, t, center)
-    sizes = [len(p) for p in part.petals]
-    _, chosen = optimal_partition_of_neighbors(sizes, t.n)
-    inward = {v for k in chosen for v in part.petals[k]}
+    k, chosen = optimal_partition_of_neighbors([len(p) for p in part.petals], n)
+    inward = {v for i in chosen for v in part.petals[i]}
     arcs = []
     for u, v in t.edges:
         leaf = v if u == center else u
         arcs.append((leaf, center) if leaf in inward else (center, leaf))
-    ot = OrientedTree(t, arcs)
-    return ot, count_xi(ot)
+    return OrientedTree(t, arcs), (n - 1) + k * (n - 1 - k)
 
 
 def assign_star(
@@ -118,20 +120,11 @@ def assign_star(
     d = space.d
     for center in range(n):
         groups = _petal_closure(d, center, [v for v in range(n) if v != center])
-        sizes = [len(g) for g in groups]
-        reach = [1]  # reach[j]: bitset of sums achievable with the first j petals
-        for s in sizes:
-            reach.append(reach[-1] | reach[-1] << s)
-        if not reach[-1] >> in_count & 1:
+        best, chosen = _subset_sum([len(g) for g in groups], in_count)
+        if best != in_count:
             continue
-        chosen: list[int] = []
-        target = in_count
-        for j in range(len(sizes), 0, -1):
-            if reach[j - 1] >> target & 1:
-                continue
-            chosen.append(j - 1)
-            target -= sizes[j - 1]
-        in_set = sorted(v for k in chosen for v in groups[k])
-        out_set = sorted(v for g in groups for v in g if v not in set(in_set))
+        inward = {v for i in chosen for v in groups[i]}
+        in_set = sorted(inward)
+        out_set = sorted(v for g in groups for v in g if v not in inward)
         return StarAssignment(center, tuple(in_set), tuple(out_set))
     return None

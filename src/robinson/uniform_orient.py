@@ -4,16 +4,17 @@ Robinson for d.
 The optimum always has a central vertex; fixing a centroid as that vertex,
 the problem reduces to splitting the centroid's neighbor subtrees into an
 In side and an Out side of sizes as balanced as achievable, which is a
-subset-sum table over the subtree sizes.  Everything but the final path
-recount is near-linear.
+bitset subset-sum over the subtree sizes.  The optimum is then a closed
+sum, the depths below the centroid plus |In|*|Out|, so nothing recounts
+the orientation.  Apart from the subset-sum and the optional premise
+check, every step is linear.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, count_xi
+from .core import DissimilaritySpace, OrientedTree, Tree, reach_sizes
 from .errors import InputError, PreconditionError
 
 
@@ -98,40 +99,34 @@ def find_centroid(t: Tree) -> int:
         x = heavy
 
 
-@dataclass(frozen=True)
-class NeighborWeights:
-    """The centroid's neighbors with their component sizes theta."""
+def _subset_sum(weights: Sequence[int], cap: int) -> tuple[int, tuple[int, ...]]:
+    """The largest sum <= cap over subsets of the weights, and the indices
+    of one subset attaining it (ties broken toward exclusion).
 
-    center: int
-    neighbors: tuple[tuple[int, int], ...]  # (vertex, theta), adjacency order
-
-    @classmethod
-    def from_tree(cls, t: Tree, center: int) -> "NeighborWeights":
-        _, parent, size = _sizes_rooted_at(t, center)
-        pairs = tuple((y, size[y]) for y in t.adjacency[center])
-        return cls(center, pairs)
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Subset-sum table: m[i][j] = largest In-size <= i using the first j
-    weights.  Rows 0..floor(n/2), columns 0..p."""
-
-    m: tuple[tuple[int, ...], ...]
-
-    @property
-    def best(self) -> int:
-        return self.m[-1][-1]
+    Bit s of reach[j] says some subset of the first j weights sums to s;
+    the witness is backtracked from the last weight.  O(p * cap / wordsize).
+    """
+    mask = (1 << cap + 1) - 1
+    reach = [1]
+    for w in weights:
+        reach.append((reach[-1] | reach[-1] << w) & mask)
+    best = reach[-1].bit_length() - 1
+    chosen: list[int] = []
+    target = best
+    for j in range(len(weights), 0, -1):
+        if not reach[j - 1] >> target & 1:
+            chosen.append(j - 1)
+            target -= weights[j - 1]
+    chosen.reverse()
+    return best, tuple(chosen)
 
 
 def optimal_partition_of_neighbors(
-    weights: list[int] | tuple[int, ...], n: int
-) -> tuple[PartitionTable, tuple[int, ...]]:
-    """Fill the balanced-partition table over the component sizes and
-    back-track one optimal index subset (ties broken toward exclusion).
-
-    The chosen subset attains the largest achievable In-size <= floor(n/2),
-    which maximizes |In|*|Out| over achievable splits.
+    weights: Sequence[int], n: int
+) -> tuple[int, tuple[int, ...]]:
+    """The largest achievable In-size <= floor(n/2) over the component
+    sizes, with one index subset attaining it (ties broken toward
+    exclusion); it maximizes |In|*|Out| over achievable splits.
     """
     total = sum(weights)
     for w in weights:
@@ -141,25 +136,7 @@ def optimal_partition_of_neighbors(
             raise InputError(f"component weight {w} exceeds n={n}")
     if total > n - 1:
         raise InputError(f"weights sum to {total}, more than n-1={n - 1}")
-    cap = n // 2
-    p = len(weights)
-    rows: list[list[int]] = [[0] * (p + 1) for _ in range(cap + 1)]
-    for j in range(1, p + 1):
-        w = weights[j - 1]
-        for i in range(cap + 1):
-            if w > i:
-                rows[i][j] = rows[i][j - 1]
-            else:
-                rows[i][j] = max(rows[i][j - 1], rows[i - w][j - 1] + w)
-    chosen: list[int] = []
-    i = cap
-    for j in range(p, 0, -1):
-        if rows[i][j] == rows[i][j - 1]:
-            continue
-        chosen.append(j - 1)
-        i -= weights[j - 1]
-    chosen.reverse()
-    return PartitionTable(tuple(tuple(r) for r in rows)), tuple(chosen)
+    return _subset_sum(weights, n // 2)
 
 
 def orient_all_robinson(
@@ -170,7 +147,7 @@ def orient_all_robinson(
     """Optimal compatible orientation under the all-paths-Robinson premise.
 
     Every component of T minus the centroid is oriented uniformly toward or
-    away from it, the In side chosen by the partition table.  The premise is
+    away from it, the In side chosen by the subset-sum over their sizes.  The premise is
     the caller's promise unless verify_premise is set (it costs more than
     the algorithm); space may be None when no verification is requested.
     """
@@ -186,9 +163,9 @@ def orient_all_robinson(
         return OrientedTree(t, []), 0
     center = find_centroid(t)
     order, parent, size = _sizes_rooted_at(t, center)
-    nw = NeighborWeights(center, tuple((y, size[y]) for y in t.adjacency[center]))
-    _, chosen = optimal_partition_of_neighbors([th for _, th in nw.neighbors], n)
-    inward_heads = {nw.neighbors[i][0] for i in chosen}
+    heads = t.adjacency[center]
+    k, chosen = optimal_partition_of_neighbors([size[y] for y in heads], n)
+    inward_heads = {heads[i] for i in chosen}
     # component head of every vertex (the centroid neighbor above it)
     head = [-1] * n
     for x in order:
@@ -203,33 +180,18 @@ def orient_all_robinson(
             arcs.append((child, par))
         else:
             arcs.append((par, child))
-    ot = OrientedTree(t, arcs)
-    return ot, count_xi(ot)
+    # each vertex reaches or is reached by its ancestors (depth of them, as
+    # sum(size) - n counts), and every In vertex reaches every Out vertex
+    return OrientedTree(t, arcs), sum(size) - n + k * (n - 1 - k)
 
 
 def has_central_vertex(ot: OrientedTree) -> Optional[int]:
     """A vertex with a directed path to or from every other vertex, if one
     exists (lowest index wins)."""
     n = ot.tree.n
-    reach_out = _reach_counts(n, ot.out_adjacency)
-    reach_in = _reach_counts(n, ot.in_adjacency)
+    reach_out = reach_sizes(n, ot.out_adjacency)
+    reach_in = reach_sizes(n, ot.in_adjacency)
     for x in range(n):
         if reach_out[x] + reach_in[x] == n - 1:
             return x
     return None
-
-
-def _reach_counts(n: int, adj) -> list[int]:
-    size = [-1] * n
-    for root in range(n):
-        if size[root] >= 0:
-            continue
-        stack = [(root, False)]
-        while stack:
-            x, done = stack.pop()
-            if done:
-                size[x] = sum(1 + size[y] for y in adj[x])
-            elif size[x] < 0:
-                stack.append((x, True))
-                stack.extend((y, False) for y in adj[x] if size[y] < 0)
-    return size

@@ -30,6 +30,28 @@ def triple_two_way(d, order) -> bool:
     return triple_one_way(d, order) and triple_one_way(d, list(reversed(order)))
 
 
+def lexmin_optimal_path_breakpoints(d, order) -> tuple[int, tuple[int, ...]]:
+    """Exhaustive path optimum: over every set of interior breakpoints whose
+    runs all pass `triple_one_way`, the largest sum of C(run length, 2), and
+    the lexicographically smallest sorted breakpoint set attaining it."""
+    n = len(order)
+    valid = {
+        (a, b): triple_one_way(d, order[a : b + 1]) for a in range(n) for b in range(a + 1, n)
+    }
+    best: tuple[int, tuple[int, ...]] | None = None
+    for mask in range(1 << max(n - 2, 0)):
+        breaks = tuple(p for p in range(1, n - 1) if mask >> (p - 1) & 1)
+        bounds = (0,) + breaks + (n - 1,)
+        runs = list(zip(bounds, bounds[1:]))
+        if not all(valid[run] for run in runs):
+            continue
+        score = sum((b - a + 1) * (b - a) // 2 for a, b in runs)
+        if best is None or score > best[0] or (score == best[0] and breaks < best[1]):
+            best = (score, breaks)
+    assert best is not None  # single-edge runs are always valid
+    return best
+
+
 def random_space(rng: random.Random, n: int, values=None, symmetric=False) -> DissimilaritySpace:
     """Random space with entries drawn from `values` (uniform reals if None)."""
     d = np.zeros((n, n))
@@ -107,6 +129,21 @@ def tree_from_pruefer(n: int, seq: list[int]) -> Tree:
 
 def star_tree(n: int, center: int = 0) -> Tree:
     return Tree(n, [(center, v) for v in range(n) if v != center])
+
+
+def component_sizes(t: Tree, center: int) -> list[int]:
+    """Vertex count of each component of t minus center, in adjacency order."""
+    sizes = []
+    for y in t.adjacency[center]:
+        seen = {center, y}
+        stack = [y]
+        while stack:
+            for z in t.adjacency[stack.pop()]:
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        sizes.append(len(seen) - 1)
+    return sizes
 
 
 def path_tree(order) -> Tree:

@@ -135,6 +135,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_removed_restricted_splits_flag(self, tmp_path, capsys):
+        path = tmp_path / "m.matrix"
+        write_matrix(CHAIN3, path)
+        with pytest.raises(SystemExit) as exc:
+            main(["orient", "path", str(path), "--order", "0,1,2", "--restricted-splits"])
+        assert exc.value.code == 2
+
     def test_module_entry_point_exit_code(self, tmp_path):
         path = tmp_path / "m.matrix"
         write_matrix(ASYM3, path)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robinson
 from robinson import (
     DissimilaritySpace,
     InputError,
@@ -266,3 +267,8 @@ def test_reachability_antisymmetric_transitive():
                 p = t.path(u, v)
                 forward = all((p[i], p[i + 1]) in set(ot.arcs) for i in range(len(p) - 1))
                 assert ((u, v) in r) == forward
+
+
+def test_every_exported_name_resolves():
+    for name in robinson.__all__:
+        assert hasattr(robinson, name), name

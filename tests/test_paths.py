@@ -1,4 +1,4 @@
-"""Eta run table, interval DP, and path orientation reconstruction."""
+"""Eta run table, the DP over run ends, and the orientation it returns."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import pytest
 from robinson import DissimilaritySpace, check_compatible, count_xi
 from robinson.errors import PreconditionError
 from robinson.oracle import brute_optimal_orientation
-from robinson.paths import eta_table, path_orientation, reconstruct_orientation
-from support import random_space, triple_one_way
+from robinson.paths import eta_table, path_orientation
+from support import lexmin_optimal_path_breakpoints, random_space, triple_one_way
 
 
 def line_metric(n):
@@ -88,14 +88,15 @@ class TestEtaTable:
 
 class TestPathOrientation:
     def test_fully_robinson_base_case(self):
-        tables, ot, xi = path_orientation(line_metric(4), [0, 1, 2, 3])
+        _, ot, xi = path_orientation(line_metric(4), [0, 1, 2, 3])
         assert xi == 6
         assert ot.arcs == ((0, 1), (1, 2), (2, 3))
 
     def test_break_instance(self):
-        tables, ot, xi = path_orientation(BREAK4, [0, 1, 2, 3])
+        _, ot, xi = path_orientation(BREAK4, [0, 1, 2, 3])
         assert xi == 4
-        assert tables.p[0][3] == 1  # smallest optimal split
+        # breaks at 1 and at 2 both score 4; the smallest one is taken
+        assert (0, 1) in ot.arcs and (2, 1) in ot.arcs
         assert check_compatible(BREAK4, ot)
         assert count_xi(ot) == 4
         best, _ = brute_optimal_orientation(BREAK4, ot.tree)
@@ -112,23 +113,31 @@ class TestPathOrientation:
             space = random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
             order = list(range(n))
             rng.shuffle(order)
-            tables, ot, xi = path_orientation(space, order)
+            _, ot, xi = path_orientation(space, order)
             assert check_compatible(space, ot)
             assert count_xi(ot) == xi
             best, _ = brute_optimal_orientation(space, ot.tree)
             assert xi == best
 
-    def test_restricted_splits_same_optimum(self):
+    def test_tie_rule_matches_enumeration(self):
+        # the arcs are the alternating orientation of the lexicographically
+        # smallest optimal breakpoint set, first run left to right
         rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randrange(2, 14)
-            space = random_space(rng, n, values=[1.0, 2.0], symmetric=True)
+        for _ in range(200):
+            n = rng.randrange(2, 13)
+            space = random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
             order = list(range(n))
             rng.shuffle(order)
-            t_plain, _, xi_plain = path_orientation(space, order)
-            t_fast, _, xi_fast = path_orientation(space, order, restricted_splits=True)
-            assert xi_plain == xi_fast
-            assert t_plain.m[0][n - 1] == t_fast.m[0][n - 1]
+            best, breaks = lexmin_optimal_path_breakpoints(space.d, order)
+            bounds = (0,) + breaks + (n - 1,)
+            want = []
+            for run, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                for a in range(lo, hi):
+                    u, v = order[a], order[a + 1]
+                    want.append((u, v) if run % 2 == 0 else (v, u))
+            _, ot, xi = path_orientation(space, order)
+            assert xi == best
+            assert set(ot.arcs) == set(want)
 
     def test_run_validity(self):
         rng = random.Random(13)
@@ -151,46 +160,16 @@ class TestPathOrientation:
                 assert b <= eta[a]
                 a = b
 
-    def test_dp_table_bounds(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            n = rng.randrange(2, 10)
-            space = random_space(rng, n, values=[1.0, 2.0], symmetric=True)
-            tables, _, _ = path_orientation(space, list(range(n)))
-            eta = eta_table(space, list(range(n))).expanded
-            for i in range(n):
-                for j in range(i + 1, n):
-                    span = j - i
-                    assert span <= tables.m[i][j] <= span * (span + 1) // 2
-                    k = tables.p[i][j]
-                    if k == 0:
-                        assert j <= eta[i]
-                    else:
-                        assert i < k < j
-                        assert tables.m[i][j] == tables.m[i][k] + tables.m[k][j]
-
 
 class TestReconstruction:
     def test_no_break_monotone_left_to_right(self):
-        tables, ot, _ = path_orientation(line_metric(5), [0, 1, 2, 3, 4])
+        _, ot, _ = path_orientation(line_metric(5), [0, 1, 2, 3, 4])
         assert ot.arcs == tuple((i, i + 1) for i in range(4))
 
     def test_one_break_alternates(self):
-        tables, ot, _ = path_orientation(BREAK4, [0, 1, 2, 3])
+        _, ot, _ = path_orientation(BREAK4, [0, 1, 2, 3])
         # runs [0,1] then [1,3]: first left-to-right, second right-to-left
         assert ot.arcs == ((0, 1), (2, 1), (3, 2))
-
-    def test_rebuild_from_tables(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            n = rng.randrange(2, 10)
-            space = random_space(rng, n, values=[1.0, 2.0], symmetric=True)
-            order = list(range(n))
-            rng.shuffle(order)
-            tables, ot, xi = path_orientation(space, order)
-            again = reconstruct_orientation(tables, space, order)
-            assert again.arcs == ot.arcs
-            assert count_xi(again) == xi
 
     def test_every_breakpoint_is_source_or_sink(self):
         rng = random.Random(23)

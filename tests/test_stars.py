@@ -169,6 +169,14 @@ class TestOrientStar:
             n_in = sum(1 for u, v in ot.arcs if v == 0)
             assert xi == (n - 1) + n_in * (n - 1 - n_in)
 
+    def test_closed_form_xi_matches_recount_on_every_center(self):
+        rng = random.Random(17)
+        for n in (2, 7, 25, 60):
+            space = random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
+            for c in range(n):
+                ot, xi = orient_star(space, star_tree(n, center=c), c)
+                assert xi == count_xi(ot)
+
 
 class TestAssignStar:
     def test_constant_space_any_split(self):

@@ -1,5 +1,5 @@
-"""Centroid selection, the balanced-partition table, and tree orientation
-under the all-paths-Robinson premise."""
+"""Centroid selection, the balanced subset-sum, and tree orientation under
+the all-paths-Robinson premise."""
 
 from __future__ import annotations
 
@@ -20,14 +20,21 @@ from robinson import (
 from robinson.errors import PreconditionError
 from robinson.oracle import brute_optimal_orientation
 from robinson.uniform_orient import (
-    NeighborWeights,
+    _subset_sum,
     find_centroid,
     has_central_vertex,
     optimal_partition_of_neighbors,
     orient_all_robinson,
     verify_all_paths_robinson,
 )
-from support import path_tree, planted_symmetric_robinson, random_tree, star_tree
+from support import (
+    component_sizes,
+    path_tree,
+    planted_symmetric_robinson,
+    random_tree,
+    star_tree,
+    tree_from_pruefer,
+)
 
 
 def constant_space(n, value=1.0):
@@ -97,7 +104,7 @@ class TestFindCentroid:
         for _ in range(60):
             t = random_tree(rng, rng.randrange(1, 20))
             c = find_centroid(t)
-            for y, theta in NeighborWeights.from_tree(t, c).neighbors:
+            for theta in component_sizes(t, c):
                 assert 2 * theta <= t.n
 
     def test_single_vertex_and_edge(self):
@@ -107,18 +114,18 @@ class TestFindCentroid:
 
 class TestOptimalPartition:
     def test_weights_one_two(self):
-        table, chosen = optimal_partition_of_neighbors([1, 2], 4)
-        assert table.best == 2
+        best, chosen = optimal_partition_of_neighbors([1, 2], 4)
+        assert best == 2
         assert chosen == (1,)
 
     def test_weights_three_threes(self):
-        table, chosen = optimal_partition_of_neighbors([3, 3, 3], 10)
-        assert table.best == 3
+        best, chosen = optimal_partition_of_neighbors([3, 3, 3], 10)
+        assert best == 3
         assert len(chosen) == 1
 
     def test_unit_weights(self):
-        table, chosen = optimal_partition_of_neighbors([1, 1, 1, 1], 5)
-        assert table.best == 2
+        best, chosen = optimal_partition_of_neighbors([1, 1, 1, 1], 5)
+        assert best == 2
         assert len(chosen) == 2
 
     def test_table_monotone_invariants(self):
@@ -131,8 +138,10 @@ class TestOptimalPartition:
                 w = rng.randrange(1, left + 1)
                 weights.append(w)
                 left -= w
-            table, chosen = optimal_partition_of_neighbors(weights, n)
-            m = table.m
+            best, chosen = optimal_partition_of_neighbors(weights, n)
+            # m[i][j]: the subset-sum's optimum with cap i over the first j weights
+            m = [[_subset_sum(weights[:j], i)[0] for j in range(len(weights) + 1)]
+                 for i in range(n // 2 + 1)]
             for i in range(len(m)):
                 assert m[i][0] == 0
                 for j in range(len(m[0])):
@@ -141,9 +150,10 @@ class TestOptimalPartition:
                         assert m[i][j] >= m[i][j - 1]
                     if i:
                         assert m[i][j] >= m[i - 1][j]
-            assert sum(weights[k] for k in chosen) == table.best
-            # table optimum matches exhaustive subset search
-            best = max(
+            assert best == m[-1][-1]
+            assert sum(weights[k] for k in chosen) == best
+            # the optimum matches exhaustive subset search
+            want = max(
                 (
                     s
                     for k in range(len(weights) + 1)
@@ -152,7 +162,14 @@ class TestOptimalPartition:
                 ),
                 default=0,
             )
-            assert table.best == best
+            assert best == want
+
+    def test_ties_broken_toward_exclusion(self):
+        # the last weight is left out whenever the rest already reach the optimum
+        assert _subset_sum([2, 2], 2) == (2, (0,))
+        assert _subset_sum([1, 1, 2], 3) == (3, (0, 2))
+        assert _subset_sum([3, 1, 2], 3) == (3, (0,))
+        assert _subset_sum([4], 3) == (0, ())
 
     def test_rejects_oversized_weight(self):
         with pytest.raises(InputError):
@@ -205,6 +222,17 @@ class TestOrientAllRobinson:
             best, _ = brute_optimal_orientation(space, t)
             assert xi == best
 
+    def test_closed_form_xi_matches_recount_at_scale(self):
+        rng = random.Random(29)
+        legs = [[1 + 3 * k + j for j in range(3)] for k in range(700)]
+        spider = Tree(1 + 3 * 700, [e for leg in legs for e in zip([0] + leg, leg)])
+        trees = [random_tree(rng, n) for n in (2000, 3001, 5000)]
+        trees += [spider, path_tree(list(range(4000))), star_tree(3000, center=7)]
+        trees.append(tree_from_pruefer(2500, [rng.randrange(40) for _ in range(2498)]))
+        for t in trees:
+            ot, xi = orient_all_robinson(None, t)
+            assert xi == count_xi(ot)
+
     def test_has_central_vertex_and_split_balance(self):
         rng = random.Random(17)
         for _ in range(30):
@@ -219,7 +247,7 @@ class TestOrientAllRobinson:
             t = random_tree(rng, rng.randrange(3, 11))
             n = t.n
             c = find_centroid(t)
-            weights = [th for _, th in NeighborWeights.from_tree(t, c).neighbors]
+            weights = component_sizes(t, c)
             _, chosen = optimal_partition_of_neighbors(weights, n)
             got_in = sum(weights[k] for k in chosen)
             best = min(
