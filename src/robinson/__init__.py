@@ -33,7 +33,14 @@ from .reductions import (
     parse_dimacs,
     witness_orientation,
 )
-from .stars import PetalPartition, StarAssignment, assign_star, orient_star, petals
+from .stars import (
+    PetalPartition,
+    StarAssignment,
+    assign_star,
+    best_star_center,
+    orient_star,
+    petals,
+)
 from .uniform_orient import (
     find_centroid,
     has_central_vertex,
@@ -62,6 +69,7 @@ __all__ = [
     "Tree",
     "VertexOrder",
     "assign_star",
+    "best_star_center",
     "build_assignment_instance",
     "build_orientation_instance",
     "build_segment_matrix",

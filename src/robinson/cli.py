@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio
-from .core import OrientedTree, Tree, check_compatible, count_xi
+from .core import Tree, check_compatible, count_xi
 from .errors import InputError, SizeGuardError
 from .oracle import (
     brute_c1p,
@@ -29,7 +29,7 @@ from .oracle import (
 from .paths import path_orientation
 from .recognition import recognize_two_way
 from .reductions import build_assignment_instance, build_orientation_instance, build_subset_instance
-from .stars import assign_star, orient_star, petals
+from .stars import assign_star, best_star_center, orient_star, petals
 from .uniform_orient import orient_all_robinson
 
 
@@ -117,17 +117,13 @@ def _cmd_orient_tree(args) -> RunReport:
 def _cmd_orient_star(args) -> RunReport:
     space = fileio.read_matrix(args.matrix)
     n = space.n
-    centers = [args.center] if args.center is not None else list(range(n))
-    best: Optional[tuple[int, int, OrientedTree]] = None
-    for c in centers:
-        if not 0 <= c < n:
-            raise InputError(f"center {c} out of range")
-        star = Tree(n, [(c, v) for v in range(n) if v != c])
-        ot, xi = orient_star(space, star, c)
-        if best is None or xi > best[0]:
-            best = (xi, c, ot)
-    assert best is not None
-    xi, c, ot = best
+    c = args.center
+    if c is None:
+        c = best_star_center(space)
+    elif not 0 <= c < n:
+        raise InputError(f"center {c} out of range")
+    star = Tree(n, [(c, v) for v in range(n) if v != c])
+    ot, xi = orient_star(space, star, c)
     return RunReport("orient star", "YES", xi=xi, orientation=ot.arcs, center=c)
 
 

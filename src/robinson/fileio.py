@@ -18,11 +18,15 @@ from .errors import InputError
 from .reductions import Cnf3, SimpleGraph, parse_dimacs
 
 
-def _content_lines(path: str | Path) -> list[str]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _content_lines(path: str | Path) -> list[str]:
+    text = _read_text(path)
     return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
 
 
@@ -127,8 +131,4 @@ def read_binary_matrix(path: str | Path) -> BinaryMatrix:
 
 
 def read_cnf(path: str | Path) -> Cnf3:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_dimacs(text)
+    return parse_dimacs(_read_text(path))

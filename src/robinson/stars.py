@@ -6,12 +6,18 @@ that relation.  Petals orient as blocks, so the optimal star orientation is
 a balanced subset-sum over petal sizes with a closed-form xi, and star
 assignment is an exact subset-sum over petal sizes tried per candidate
 center.  Both use the one bitset subset-sum in `uniform_orient`.
+
+The closure reads d as nested Python lists, converted once per call:
+indexing a numpy array per pair would box a scalar on every read.  Routines
+that try every center of K_{1,n-1} share one pass over the centers, and the
+best center is ranked by the closed-form xi, so only the winning star is
+ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import DissimilaritySpace, OrientedTree, Tree
 from .errors import InputError, PreconditionError
@@ -40,12 +46,14 @@ def _require_symmetric(space: DissimilaritySpace) -> None:
         raise PreconditionError("this operation requires a symmetric dissimilarity")
 
 
-def _petal_closure(d, x: int, candidates: Sequence[int]) -> list[list[int]]:
-    """Closure classes of d(t,z) < max(d(x,t), d(x,z)) over the candidates.
+def _petal_closure(rows, x: int, candidates: Sequence[int]) -> list[list[int]]:
+    """Closure classes of d(t,z) < max(d(x,t), d(x,z)) over the candidates,
+    with d given as nested lists (rows[i][j] = d(i,j), symmetric).
 
     Seeds are taken in the candidates' order; the resulting partition does
     not depend on that order (callers canonicalize the presentation).
     """
+    dx = rows[x]
     remaining = list(candidates)
     petals: list[list[int]] = []
     while remaining:
@@ -54,10 +62,11 @@ def _petal_closure(d, x: int, candidates: Sequence[int]) -> list[list[int]]:
         queue = [seed]
         while queue:
             z = queue.pop()
-            dxz = d[x, z]
+            dz = rows[z]
+            dxz = dx[z]
             keep = []
             for t in remaining:
-                if d[t, z] < max(d[x, t], dxz):
+                if dz[t] < dxz or dz[t] < dx[t]:
                     petal.append(t)
                     queue.append(t)
                 else:
@@ -67,16 +76,47 @@ def _petal_closure(d, x: int, candidates: Sequence[int]) -> list[list[int]]:
     return petals
 
 
+def _star_petals(space: DissimilaritySpace) -> Iterator[tuple[int, list[list[int]]]]:
+    """(center, petal classes of all other vertices) for every center of
+    K_{1,n-1} in index order; d is converted to lists once."""
+    rows = space.d.tolist()
+    n = space.n
+    for center in range(n):
+        yield center, _petal_closure(rows, center, [v for v in range(n) if v != center])
+
+
 def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
-    """The petal partition of N(x) in t.  O(deg(x)^2)."""
+    """The petal partition of N(x) in t.  O(deg(x)^2): only the submatrix
+    on x and its neighbors is read."""
     _require_symmetric(space)
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if not 0 <= x < t.n:
         raise InputError(f"center {x} out of range")
-    groups = [tuple(sorted(g)) for g in _petal_closure(space.d, x, t.adjacency[x])]
+    local = (x,) + t.adjacency[x]  # local index i is vertex local[i]; x is 0
+    rows = space.restrict(local).d.tolist()
+    groups = [
+        tuple(sorted(local[i] for i in g))
+        for g in _petal_closure(rows, 0, range(1, len(local)))
+    ]
     groups.sort(key=lambda g: g[0])
     return PetalPartition(x, tuple(groups))
+
+
+def best_star_center(space: DissimilaritySpace) -> int:
+    """The center of K_{1,n-1} whose optimal orientation has the largest xi
+    (lowest index on ties).  Each center is ranked by k*(n-1-k), the part of
+    `orient_star`'s xi that varies, with k its balanced petal subset-sum;
+    no star is built."""
+    _require_symmetric(space)
+    n = space.n
+    best_score, best_center = -1, 0
+    for center, groups in _star_petals(space):
+        k = _subset_sum([len(g) for g in groups], n // 2)[0]
+        score = k * (n - 1 - k)
+        if score > best_score:
+            best_score, best_center = score, center
+    return best_center
 
 
 def orient_star(
@@ -108,8 +148,9 @@ def assign_star(
     """A center whose petals can realize exactly `in_count` inward vertices
     on the star K_{1,n-1}, with the witness split; None if no center works.
 
-    Centers are tried in index order; petal subsets are found by an exact
-    subset-sum over petal sizes (ties broken toward exclusion).
+    Centers are tried in index order, reading d as lists converted once per
+    call; petal subsets are found by an exact subset-sum over petal sizes
+    (ties broken toward exclusion).
     """
     _require_symmetric(space)
     n = space.n
@@ -117,9 +158,7 @@ def assign_star(
         raise InputError(
             f"in/out counts ({in_count}, {out_count}) must be nonnegative and sum to n-1"
         )
-    d = space.d
-    for center in range(n):
-        groups = _petal_closure(d, center, [v for v in range(n) if v != center])
+    for center, groups in _star_petals(space):
         best, chosen = _subset_sum([len(g) for g in groups], in_count)
         if best != in_count:
             continue

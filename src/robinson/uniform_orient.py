@@ -25,7 +25,7 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     condition once the prefix is known good)."""
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
-    d = space.d
+    d = space.d.tolist()  # list reads; numpy would box a scalar per read
     adj = t.adjacency
     for root in range(t.n):
         path = [root]
@@ -43,10 +43,11 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
             k = len(path)
             tail = path[k - 1]
             for j in range(1, k):
-                if d[path[j], nxt] > d[path[j - 1], nxt]:
+                if d[path[j]][nxt] > d[path[j - 1]][nxt]:
                     return False
             for i in range(k - 1):
-                if d[path[i], tail] > d[path[i], nxt]:
+                row = d[path[i]]
+                if row[tail] > row[nxt]:
                     return False
             path.append(nxt)
             parents.append(tail)

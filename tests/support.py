@@ -7,7 +7,7 @@ exhaustive scans) so they stay independent of the library's faster paths.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -144,6 +144,25 @@ def component_sizes(t: Tree, center: int) -> list[int]:
                     stack.append(z)
         sizes.append(len(seen) - 1)
     return sizes
+
+
+def petal_classes(d, x: int, candidates) -> set[frozenset[int]]:
+    """Union-find over every candidate pair (t, z) with
+    d(t,z) < max(d(x,t), d(x,z)); the classes as a set of frozensets."""
+    root = {v: v for v in candidates}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for t, z in combinations(candidates, 2):
+        if d[t, z] < max(d[x, t], d[x, z]):
+            root[find(t)] = find(z)
+    classes: dict[int, set[int]] = {}
+    for v in candidates:
+        classes.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
 
 
 def path_tree(order) -> Tree:

@@ -142,17 +142,48 @@ class TestExitCodes:
             main(["orient", "path", str(path), "--order", "0,1,2", "--restricted-splits"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["recognize", "{m}"], ["orient", "star", "{m}"], ["check", "{m}", "{t}"],
+         ["petals", "{m}", "--center", "0"]],
+    )
+    def test_non_utf8_matrix_file(self, tmp_path, capsys, argv):
+        matrix = tmp_path / "m.matrix"
+        matrix.write_bytes(b"3\n0 1 \xff\n1 0 1\n1 1 0\n")
+        tree = tmp_path / "t.orient"
+        tree.write_text("3\n0 1\n1 2\n")
+        code, out, err = run(capsys, *(a.format(m=matrix, t=tree) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_non_utf8_cnf_file(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_bytes(b"p cnf 3 1\n1 2 \xff 0\n")
+        code, out, err = run(capsys, "gen", "sat", str(path), "--out-prefix", str(tmp_path / "inst"))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_module_entry_point_exit_code(self, tmp_path):
+        assert self._run_module(tmp_path, "robinson.cli") == 1
+
+    def test_package_entry_point_exit_code(self, tmp_path):
+        assert self._run_module(tmp_path, "robinson") == 1
+
+    @staticmethod
+    def _run_module(tmp_path, module):
+        """Exit code of `python -m module recognize` on a NO matrix."""
         path = tmp_path / "m.matrix"
         write_matrix(ASYM3, path)
         src = str(Path(robinson.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "robinson.cli", "recognize", str(path)],
+            [sys.executable, "-m", module, "recognize", str(path)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.returncode == 1
         assert parse_text(proc.stdout)["answer"] == "NO"
+        return proc.returncode
 
 
 class TestCommands:

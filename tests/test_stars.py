@@ -17,8 +17,22 @@ from robinson import (
 )
 from robinson.errors import PreconditionError
 from robinson.oracle import brute_optimal_orientation
-from robinson.stars import _petal_closure, assign_star, orient_star, petals
-from support import random_space, star_tree
+from robinson.stars import _petal_closure, assign_star, best_star_center, orient_star, petals
+from support import petal_classes, random_space, random_tree, star_tree
+
+
+def tied_spaces(seed, count, max_n=12):
+    """Seeded symmetric spaces with n in 1..max_n and 2-4 distinct values,
+    so many pairs tie."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        values = [float(v) for v in range(1, rng.randrange(3, 6))]
+        yield random_space(rng, n, values=values, symmetric=True)
+
+
+def canonical(classes):
+    return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
 def constant_space(n, value=1.0):
@@ -65,14 +79,33 @@ class TestPetals:
         for _ in range(40):
             n = rng.randrange(3, 10)
             space = random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
+            rows = space.d.tolist()
             candidates = list(range(1, n))
             reference = {
-                frozenset(g) for g in _petal_closure(space.d, 0, candidates)
+                frozenset(g) for g in _petal_closure(rows, 0, candidates)
             }
             for _ in range(10):
                 rng.shuffle(candidates)
-                got = {frozenset(g) for g in _petal_closure(space.d, 0, candidates)}
+                got = {frozenset(g) for g in _petal_closure(rows, 0, candidates)}
                 assert got == reference
+
+    def test_kernel_matches_union_find(self):
+        for space in tied_spaces(23, 300):
+            n = space.n
+            rows = space.d.tolist()
+            for x in range(n):
+                candidates = [v for v in range(n) if v != x]
+                want = petal_classes(space.d, x, candidates)
+                assert {frozenset(g) for g in _petal_closure(rows, x, candidates)} == want
+                assert petals(space, star_tree(n, x), x).petals == canonical(want)
+
+    def test_non_star_tree_reads_neighbors_only(self):
+        rng = random.Random(29)
+        for space in tied_spaces(31, 100):
+            t = random_tree(rng, space.n)
+            for x in range(space.n):
+                want = canonical(petal_classes(space.d, x, t.adjacency[x]))
+                assert petals(space, t, x).petals == want
 
     def test_cross_petal_pairs_not_violating(self):
         rng = random.Random(5)
@@ -176,6 +209,32 @@ class TestOrientStar:
             for c in range(n):
                 ot, xi = orient_star(space, star_tree(n, center=c), c)
                 assert xi == count_xi(ot)
+
+
+class TestBestStarCenter:
+    @staticmethod
+    def every_center(space):
+        """The former CLI loop: a star and its optimal orientation for every
+        center, keeping the first strictly larger xi."""
+        best = None
+        for c in range(space.n):
+            ot, xi = orient_star(space, star_tree(space.n, c), c)
+            if best is None or xi > best[0]:
+                best = (xi, c, ot.arcs)
+        return best
+
+    def test_matches_every_center_loop(self):
+        spaces = list(tied_spaces(37, 200)) + [constant_space(n) for n in (1, 2, 7)]
+        spaces.append(TWO_PETALS)
+        for space in spaces:
+            c = best_star_center(space)
+            ot, xi = orient_star(space, star_tree(space.n, c), c)
+            assert (xi, c, ot.arcs) == self.every_center(space)
+
+    def test_asymmetric_rejected(self):
+        d = np.array([[0, 1, 2], [2, 0, 1], [2, 1, 0]], dtype=float)
+        with pytest.raises(PreconditionError):
+            best_star_center(DissimilaritySpace(d))
 
 
 class TestAssignStar:
