@@ -20,7 +20,7 @@ from .core import (
 )
 from .errors import InputError, PreconditionError, SizeGuardError
 from .paths import EtaTable, eta_table, path_orientation
-from .recognition import Segment, SegmentMatrix, build_segment_matrix, recognize_two_way, segment
+from .recognition import Segment, recognize_two_way, segment
 from .reductions import (
     Cnf3,
     OrientationInstance,
@@ -61,7 +61,6 @@ __all__ = [
     "PetalPartition",
     "PreconditionError",
     "Segment",
-    "SegmentMatrix",
     "SimpleGraph",
     "SizeGuardError",
     "StarAssignment",
@@ -72,7 +71,6 @@ __all__ = [
     "best_star_center",
     "build_assignment_instance",
     "build_orientation_instance",
-    "build_segment_matrix",
     "build_subset_instance",
     "check_compatible",
     "count_xi",

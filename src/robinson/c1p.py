@@ -28,6 +28,9 @@ Q = "Q"
 
 _EMPTY, _FULL, _PARTIAL = 0, 1, 2
 
+# size guard of enumerate_frontiers: a P-node over k leaves has k! frontiers
+FRONTIER_MAX_LEAVES = 8
+
 
 class _Node:
     """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
@@ -89,12 +92,6 @@ class BinaryMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", rows)
 
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Iterable[int]]) -> "BinaryMatrix":
-        """Build from per-column row-index sets."""
-        sets = [set(c) for c in columns]
-        return cls([[1 if r in s else 0 for s in sets] for r in range(rows)])
-
     def column_set(self, j: int) -> frozenset[int]:
         return frozenset(r for r in range(self.rows) if self.data[r][j])
 
@@ -151,10 +148,10 @@ def frontier(t: PQTree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_frontiers(t: PQTree, max_leaves: int = 8) -> set[tuple[int, ...]]:
+def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:
     """All frontiers of the tree (testing aid; guarded against blow-up)."""
-    if t.num_leaves > max_leaves:
-        raise SizeGuardError(f"frontier enumeration limited to {max_leaves} leaves")
+    if t.num_leaves > FRONTIER_MAX_LEAVES:
+        raise SizeGuardError(f"frontier enumeration limited to {FRONTIER_MAX_LEAVES} leaves")
 
     def orders(node: _Node) -> Iterator[tuple[int, ...]]:
         if node.kind == LEAF:

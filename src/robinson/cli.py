@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,60 +32,24 @@ from .stars import assign_star, best_star_center, orient_star, petals
 from .uniform_orient import orient_all_robinson
 
 
-@dataclass
-class RunReport:
-    """One result record per command; unused payload fields stay None."""
-
-    command: str
-    answer: str
-    xi: Optional[int] = None
-    order: Optional[tuple[int, ...]] = None
-    orientation: Optional[tuple[tuple[int, int], ...]] = None
-    center: Optional[int] = None
-    in_set: Optional[tuple[int, ...]] = None
-    out_set: Optional[tuple[int, ...]] = None
-    petals: Optional[tuple[tuple[int, ...], ...]] = None
-    subset: Optional[tuple[int, ...]] = None
-    kappa: Optional[int] = None
-    elapsed_ms: float = field(default=0.0)
-
-    def _fields(self):
-        """(key, text form, JSON form) of every payload field that is set."""
-        for attr, key, text, as_json in _FIELDS:
-            value = getattr(self, attr)
-            if value is not None:
-                yield key, text(value), as_json(value)
-
-    def render_text(self) -> str:
-        lines = [f"answer: {self.answer}"] + [f"{k}: {t}" for k, t, _ in self._fields()]
-        return "\n".join(lines)
-
-    def render_json(self) -> str:
-        return json.dumps({"answer": self.answer} | {k: j for k, _, j in self._fields()})
-
-
 def _ints(values) -> str:
     return " ".join(map(str, values))
 
 
-# RunReport payload fields in output order: (attribute, key of both the text
-# line and the JSON member, text form, JSON form)
-_FIELDS = (
-    ("xi", "xi", str, int),
-    ("order", "order", _ints, list),
-    ("orientation", "orientation", lambda arcs: " ".join(f"{u}>{v}" for u, v in arcs),
-     lambda arcs: [list(a) for a in arcs]),
-    ("center", "center", str, int),
-    ("in_set", "in", _ints, list),
-    ("out_set", "out", _ints, list),
-    ("petals", "petals", lambda ps: " | ".join(map(_ints, ps)), lambda ps: [list(p) for p in ps]),
-    ("subset", "subset", _ints, list),
-    ("kappa", "kappa", str, int),
-)
-
-
-def _out(prefix: str, ext: str) -> Path:
-    return Path(f"{prefix}{ext}")
+# report keys in output order, with the text form of each value; --json
+# prints the same keys through json.dumps
+_TEXT_FORMS = {
+    "answer": str,
+    "xi": str,
+    "order": _ints,
+    "orientation": lambda arcs: " ".join(f"{u}>{v}" for u, v in arcs),
+    "center": str,
+    "in": _ints,
+    "out": _ints,
+    "petals": lambda ps: " | ".join(map(_ints, ps)),
+    "subset": _ints,
+    "kappa": str,
+}
 
 
 def _parse_order(text: str, n: int) -> list[int]:
@@ -99,133 +62,109 @@ def _parse_order(text: str, n: int) -> list[int]:
     return order
 
 
-def _cmd_recognize(args) -> RunReport:
-    space = fileio.read_matrix(args.matrix)
-    res = recognize_two_way(space)
-    if res is None:
-        return RunReport("recognize", "NO")
-    return RunReport("recognize", "YES", order=res[0])
+def _star(n: int, center: int) -> Tree:
+    if not 0 <= center < n:
+        raise InputError(f"center {center} out of range")
+    return Tree(n, [(center, v) for v in range(n) if v != center])
 
 
-def _cmd_orient_tree(args) -> RunReport:
+def _write_instance(prefix: str, inst) -> dict:
+    """Write the generated space, its kappa and its vertex roles."""
+    fileio.write_matrix(inst.space, f"{prefix}.matrix")
+    Path(f"{prefix}.kappa").write_text(f"{inst.kappa}\n")
+    roles = "\n".join(f"{i} {inst.vertex_roles[i]}" for i in range(inst.space.n))
+    Path(f"{prefix}.roles").write_text(roles + "\n")
+    return {"kappa": inst.kappa}
+
+
+# Each handler returns its report fields, or None for a bare NO.  Library
+# entry points are looked up as module globals at call time, so a tracer can
+# wrap them.
+
+
+def _cmd_recognize(args):
+    res = recognize_two_way(fileio.read_matrix(args.matrix))
+    return None if res is None else {"order": res[0]}
+
+
+def _cmd_orient_tree(args):
     space = fileio.read_matrix(args.matrix)
     tree = fileio.read_tree(args.tree)
     ot, xi = orient_all_robinson(space, tree, verify_premise=args.verify_premise)
-    return RunReport("orient tree", "YES", xi=xi, orientation=ot.arcs)
+    return {"xi": xi, "orientation": ot.arcs}
 
 
-def _cmd_orient_star(args) -> RunReport:
+def _cmd_orient_star(args):
     space = fileio.read_matrix(args.matrix)
-    n = space.n
-    c = args.center
-    if c is None:
-        c = best_star_center(space)
-    elif not 0 <= c < n:
-        raise InputError(f"center {c} out of range")
-    star = Tree(n, [(c, v) for v in range(n) if v != c])
-    ot, xi = orient_star(space, star, c)
-    return RunReport("orient star", "YES", xi=xi, orientation=ot.arcs, center=c)
+    c = best_star_center(space) if args.center is None else args.center
+    ot, xi = orient_star(space, _star(space.n, c), c)
+    return {"xi": xi, "orientation": ot.arcs, "center": c}
 
 
-def _cmd_orient_path(args) -> RunReport:
+def _cmd_orient_path(args):
     space = fileio.read_matrix(args.matrix)
-    order = _parse_order(args.order, space.n)
-    _, ot, xi = path_orientation(space, order)
-    return RunReport("orient path", "YES", xi=xi, orientation=ot.arcs)
+    _, ot, xi = path_orientation(space, _parse_order(args.order, space.n))
+    return {"xi": xi, "orientation": ot.arcs}
 
 
-def _cmd_assign_star(args) -> RunReport:
-    space = fileio.read_matrix(args.matrix)
-    res = assign_star(space, args.in_count, args.out_count)
+def _cmd_assign_star(args):
+    res = assign_star(fileio.read_matrix(args.matrix), args.in_count, args.out_count)
     if res is None:
-        return RunReport("assign star", "NO")
-    arcs = tuple((v, res.center) for v in res.in_set) + tuple(
-        (res.center, v) for v in res.out_set
-    )
-    return RunReport(
-        "assign star",
-        "YES",
-        center=res.center,
-        in_set=res.in_set,
-        out_set=res.out_set,
-        orientation=arcs,
-    )
+        return None
+    c = res.center
+    arcs = tuple((v, c) for v in res.in_set) + tuple((c, v) for v in res.out_set)
+    return {"orientation": arcs, "center": c, "in": res.in_set, "out": res.out_set}
 
 
-def _cmd_petals(args) -> RunReport:
+def _cmd_petals(args):
     space = fileio.read_matrix(args.matrix)
-    n = space.n
-    if not 0 <= args.center < n:
-        raise InputError(f"center {args.center} out of range")
-    star = Tree(n, [(args.center, v) for v in range(n) if v != args.center])
-    part = petals(space, star, args.center)
-    return RunReport("petals", "YES", center=args.center, petals=part.petals)
+    part = petals(space, _star(space.n, args.center), args.center)
+    return {"center": args.center, "petals": part.petals}
 
 
-def _cmd_gen_sat(args) -> RunReport:
-    cnf = fileio.read_cnf(args.dimacs)
-    inst = build_orientation_instance(cnf)
-    fileio.write_matrix(inst.space, _out(args.out_prefix, ".matrix"))
-    fileio.write_tree(inst.tree, _out(args.out_prefix, ".tree"))
-    _out(args.out_prefix, ".kappa").write_text(f"{inst.kappa}\n")
-    roles = "\n".join(f"{i} {inst.vertex_roles[i]}" for i in range(inst.tree.n))
-    _out(args.out_prefix, ".roles").write_text(roles + "\n")
-    return RunReport("gen sat", "YES", kappa=inst.kappa)
+def _cmd_gen_sat(args):
+    inst = build_orientation_instance(fileio.read_cnf(args.dimacs))
+    fields = _write_instance(args.out_prefix, inst)
+    fileio.write_tree(inst.tree, f"{args.out_prefix}.tree")
+    return fields
 
 
-def _cmd_gen_subset(args) -> RunReport:
-    g = fileio.read_graph(args.graph)
-    inst = build_subset_instance(g)
-    fileio.write_matrix(inst.space, _out(args.out_prefix, ".matrix"))
-    _out(args.out_prefix, ".kappa").write_text(f"{inst.kappa}\n")
-    roles = "\n".join(f"{i} {inst.vertex_roles[i]}" for i in range(inst.space.n))
-    _out(args.out_prefix, ".roles").write_text(roles + "\n")
-    return RunReport("gen subset", "YES", kappa=inst.kappa)
+def _cmd_gen_subset(args):
+    return _write_instance(args.out_prefix, build_subset_instance(fileio.read_graph(args.graph)))
 
 
-def _cmd_gen_assign(args) -> RunReport:
+def _cmd_gen_assign(args):
+    ot = build_assignment_instance(fileio.read_matrix(args.matrix), args.kappa)
+    fileio.write_oriented_tree(ot, f"{args.out_prefix}.orient")
+    return {"orientation": ot.arcs, "kappa": args.kappa}
+
+
+def _cmd_oracle_orient(args):
     space = fileio.read_matrix(args.matrix)
-    ot = build_assignment_instance(space, args.kappa)
-    fileio.write_oriented_tree(ot, _out(args.out_prefix, ".orient"))
-    return RunReport("gen assign", "YES", kappa=args.kappa, orientation=ot.arcs)
+    xi, ot = brute_optimal_orientation(space, fileio.read_tree(args.tree))
+    return {"xi": xi, "orientation": ot.arcs}
 
 
-def _cmd_oracle_orient(args) -> RunReport:
-    space = fileio.read_matrix(args.matrix)
-    tree = fileio.read_tree(args.tree)
-    xi, ot = brute_optimal_orientation(space, tree)
-    return RunReport("oracle orient", "YES", xi=xi, orientation=ot.arcs)
+def _cmd_oracle_recognize(args):
+    order = brute_two_way(fileio.read_matrix(args.matrix))
+    return None if order is None else {"order": order}
 
 
-def _cmd_oracle_recognize(args) -> RunReport:
-    space = fileio.read_matrix(args.matrix)
-    order = brute_two_way(space)
-    if order is None:
-        return RunReport("oracle recognize", "NO")
-    return RunReport("oracle recognize", "YES", order=order)
+def _cmd_oracle_c1p(args):
+    order = brute_c1p(fileio.read_binary_matrix(args.binmatrix))
+    return None if order is None else {"order": order}
 
 
-def _cmd_oracle_c1p(args) -> RunReport:
-    m = fileio.read_binary_matrix(args.binmatrix)
-    order = brute_c1p(m)
-    if order is None:
-        return RunReport("oracle c1p", "NO")
-    return RunReport("oracle c1p", "YES", order=order)
-
-
-def _cmd_oracle_subset(args) -> RunReport:
+def _cmd_oracle_subset(args):
     space = fileio.read_matrix(args.matrix)
     subset = brute_robinson_subset(space, args.kappa, max_subsets=args.budget)
-    if subset is None:
-        return RunReport("oracle subset", "NO")
-    return RunReport("oracle subset", "YES", subset=subset)
+    return None if subset is None else {"subset": subset}
 
 
-def _cmd_check(args) -> RunReport:
+def _cmd_check(args):
     space = fileio.read_matrix(args.matrix)
     ot = fileio.read_oriented_tree(args.oriented_tree)
-    ok = check_compatible(space, ot)
-    return RunReport("check", "YES" if ok else "NO", xi=count_xi(ot))
+    return {"answer": "YES" if check_compatible(space, ot) else "NO", "xi": count_xi(ot)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,17 +256,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report: RunReport = args.func(args)
+        fields = args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    print(report.render_json() if args.json else report.render_text())
-    print(f"elapsed_ms: {report.elapsed_ms:.3f}", file=sys.stderr)
-    return 0 if report.answer == "YES" else 1
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    report = {"answer": "YES"} | fields if fields is not None else {"answer": "NO"}
+    report = {k: report[k] for k in _TEXT_FORMS if k in report}
+    if args.json:
+        print(json.dumps(report))
+    else:
+        print("\n".join(f"{k}: {_TEXT_FORMS[k](v)}" for k, v in report.items()))
+    print(f"elapsed_ms: {elapsed_ms:.3f}", file=sys.stderr)
+    return 0 if report["answer"] == "YES" else 1
 
 
 def entrypoint() -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +61,22 @@ class DissimilaritySpace:
         return DissimilaritySpace(self.d[np.ix_(idx, idx)], validate=False)
 
 
+def checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Yield each edge after checking it: a self-loop, an endpoint outside
+    0..n-1 or a repeat of an earlier edge, in either direction, raises."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InputError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        yield u, v
+
+
 @dataclass(frozen=True)
 class Tree:
     """An undirected tree on n vertices (exactly n-1 edges, connected)."""
@@ -74,7 +90,6 @@ class Tree:
             raise InputError("tree needs at least one vertex")
         if len(edge_list) != n - 1:
             raise InputError(f"tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
-        seen: set[frozenset[int]] = set()
         parent = list(range(n))
 
         def find(a: int) -> int:
@@ -83,15 +98,7 @@ class Tree:
                 a = parent[a]
             return a
 
-        for u, v in edge_list:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            key = frozenset((u, v))
-            if key in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
+        for u, v in checked_edges(n, edge_list):
             ru, rv = find(u), find(v)
             if ru == rv:
                 raise InputError("edges contain a cycle")
@@ -107,25 +114,6 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(a) for a in adj)
-
-    def path(self, u: int, v: int) -> VertexOrder:
-        """Vertex sequence of the unique u-v path (endpoints included)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"path endpoints ({u}, {v}) out of range")
-        prev = {u: u}
-        queue = [u]
-        for x in queue:
-            if x == v:
-                break
-            for y in self.adjacency[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        seq = [v]
-        while seq[-1] != u:
-            seq.append(prev[seq[-1]])
-        seq.reverse()
-        return tuple(seq)
 
     def is_star(self, center: int) -> bool:
         return all(center in e for e in self.edges)

@@ -23,15 +23,18 @@ from .core import (
 )
 from .errors import InputError, SizeGuardError
 
+# size guards: largest tree, space and binary matrix each search accepts
+ORIENTATION_MAX_N = 21
+TWO_WAY_MAX_N = 8
+C1P_MAX_ROWS = 8
 
-def brute_optimal_orientation(
-    space: DissimilaritySpace, t: Tree, max_n: int = 21
-) -> tuple[int, OrientedTree]:
+
+def brute_optimal_orientation(space: DissimilaritySpace, t: Tree) -> tuple[int, OrientedTree]:
     """Maximum xi over all 2^(n-1) orientations passing check_compatible,
     with a witness.  Enumeration order: edges in stored order, bitmask
     counter; the first orientation attaining the maximum is returned."""
-    if t.n > max_n:
-        raise SizeGuardError(f"orientation enumeration guarded to n <= {max_n}")
+    if t.n > ORIENTATION_MAX_N:
+        raise SizeGuardError(f"orientation enumeration guarded to n <= {ORIENTATION_MAX_N}")
     edges = t.edges
     best = -1
     witness: Optional[OrientedTree] = None
@@ -50,20 +53,20 @@ def brute_optimal_orientation(
     return best, witness
 
 
-def brute_two_way(space: DissimilaritySpace, max_n: int = 8) -> Optional[VertexOrder]:
+def brute_two_way(space: DissimilaritySpace) -> Optional[VertexOrder]:
     """First permutation (lexicographic) passing is_two_way_order, if any."""
-    if space.n > max_n:
-        raise SizeGuardError(f"permutation search guarded to n <= {max_n}")
+    if space.n > TWO_WAY_MAX_N:
+        raise SizeGuardError(f"permutation search guarded to n <= {TWO_WAY_MAX_N}")
     for perm in permutations(range(space.n)):
         if is_two_way_order(space, perm):
             return perm
     return None
 
 
-def brute_c1p(m: BinaryMatrix, max_rows: int = 8) -> Optional[VertexOrder]:
+def brute_c1p(m: BinaryMatrix) -> Optional[VertexOrder]:
     """First row permutation making every column's ones consecutive, if any."""
-    if m.rows > max_rows:
-        raise SizeGuardError(f"row-permutation search guarded to rows <= {max_rows}")
+    if m.rows > C1P_MAX_ROWS:
+        raise SizeGuardError(f"row-permutation search guarded to rows <= {C1P_MAX_ROWS}")
     cols = [c for c in m.column_sets() if len(c) > 1]
     for perm in permutations(range(m.rows)):
         pos = {r: i for i, r in enumerate(perm)}

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .c1p import BinaryMatrix, PQTree, frontier, reduce_columns
+from .c1p import PQTree, frontier, reduce_columns
 from .core import DissimilaritySpace, VertexOrder
 from .errors import InputError
 
@@ -25,15 +25,6 @@ class Segment:
     x: int
     y: int
     members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class SegmentMatrix:
-    """0/1 membership of each point (row) in each ordered-pair segment
-    (column).  Columns (x,y) and (y,x) are identical by construction."""
-
-    matrix: BinaryMatrix
-    pairs: tuple[tuple[int, int], ...]  # column labels, aligned with matrix columns
 
 
 def _membership_tensor(space: DissimilaritySpace) -> np.ndarray:
@@ -57,17 +48,6 @@ def segment(space: DissimilaritySpace, x: int, y: int) -> Segment:
         if dxy >= d[x, t] and dxy >= d[t, y] and dyx >= d[y, t] and dyx >= d[t, x]
     )
     return Segment(x, y, members)
-
-
-def build_segment_matrix(space: DissimilaritySpace) -> SegmentMatrix:
-    """The full n x (n^2 - n) membership matrix over ordered anchor pairs,
-    columns in lexicographic (x, y) order.  O(n^3)."""
-    if space.n < 2:
-        raise InputError("segment matrix needs at least two points")
-    member = _membership_tensor(space)
-    pairs = tuple((x, y) for x in range(space.n) for y in range(space.n) if x != y)
-    data = [[1 if member[x, y, t] else 0 for (x, y) in pairs] for t in range(space.n)]
-    return SegmentMatrix(BinaryMatrix(data), pairs)
 
 
 def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, PQTree]]:

@@ -22,8 +22,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DissimilaritySpace, OrientedTree, Tree
-from .errors import InputError
+from .core import DissimilaritySpace, OrientedTree, Tree, checked_edges
+from .errors import InputError, SizeGuardError
 
 # truth values of the three literals, one row per z-pattern, in the fixed
 # order: exactly-one-true (3 rows), exactly-two-true (3 rows), all-true
@@ -37,6 +37,16 @@ _LITERAL_TRUTH_PATTERNS: tuple[tuple[bool, bool, bool], ...] = (
     (True, True, True),
 )
 _PATTERN_INDEX = {p: k + 1 for k, p in enumerate(_LITERAL_TRUTH_PATTERNS)}
+
+# Largest space a generator builds.  Its dense float matrix takes 8 * points^2
+# bytes, 200 MB at this limit; the point count comes from a file header alone,
+# so it is checked before anything is allocated.
+MAX_POINTS = 5000
+
+
+def _guard_points(total: int) -> None:
+    if total > MAX_POINTS:
+        raise SizeGuardError(f"instance of {total} points exceeds the limit of {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -113,17 +123,7 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        es = tuple((int(u), int(v)) for u, v in edges)
-        seen = set()
-        for u, v in es:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range")
-            key = frozenset((u, v))
-            if key in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
+        es = tuple(checked_edges(n, [(int(u), int(v)) for u, v in edges]))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", es)
 
@@ -192,6 +192,7 @@ def build_orientation_instance(cnf: Cnf3) -> OrientationInstance:
             raise InputError(f"clause {c} repeats a variable")
     L = 7 * m + 2
     total = 1 + n + 2 * n * L + 7 * m
+    _guard_points(total)
     roles: dict[int, str] = {0: "y"}
     edges: list[tuple[int, int]] = [(0, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
@@ -294,6 +295,7 @@ def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
     if m < 1:
         raise InputError("graph needs at least one edge")
     total = n * (m + 1) + m
+    _guard_points(total)
     d = np.full((total, total), 2.0)
     roles: dict[int, str] = {}
     for i in range(1, n + 1):

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from robinson import DissimilaritySpace, Tree
+from robinson import BinaryMatrix, DissimilaritySpace, Tree
 
 
 def triple_one_way(d, order) -> bool:
@@ -165,6 +165,23 @@ def petal_classes(d, x: int, candidates) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
+def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
+    """Vertex sequence of the unique u-v path in t (endpoints included)."""
+    prev = {u: u}
+    queue = [u]
+    for x in queue:
+        if x == v:
+            break
+        for y in t.adjacency[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    seq = [v]
+    while seq[-1] != u:
+        seq.append(prev[seq[-1]])
+    return tuple(reversed(seq))
+
+
 def path_tree(order) -> Tree:
     n = len(order)
     return Tree(n, [(order[i], order[i + 1]) for i in range(n - 1)])
@@ -181,10 +198,14 @@ def valid_c1p_perms(matrix) -> set[tuple[int, ...]]:
     return good
 
 
+def matrix_from_columns(rows: int, columns):
+    """0/1 matrix built from per-column row-index sets."""
+    sets = [set(c) for c in columns]
+    return BinaryMatrix([[1 if r in s else 0 for s in sets] for r in range(rows)])
+
+
 def planted_c1p_matrix(rng: random.Random, rows: int, cols: int):
     """0/1 matrix whose columns are intervals of a hidden row order."""
-    from robinson import BinaryMatrix
-
     hidden = list(range(rows))
     rng.shuffle(hidden)
     data = [[0] * cols for _ in range(rows)]

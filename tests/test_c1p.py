@@ -23,11 +23,7 @@ from robinson import (
 )
 from robinson.c1p import reduce_columns
 from robinson.oracle import brute_c1p
-from support import planted_c1p_matrix, valid_c1p_perms
-
-
-def from_cols(rows, cols):
-    return BinaryMatrix.from_columns(rows, cols)
+from support import matrix_from_columns, planted_c1p_matrix, valid_c1p_perms
 
 
 class TestBasics:
@@ -39,7 +35,7 @@ class TestBasics:
         assert len(enumerate_frontiers(t)) == 24
 
     def test_three_pair_columns_impossible(self):
-        m = from_cols(3, [{0, 1}, {1, 2}, {0, 2}])
+        m = matrix_from_columns(3, [{0, 1}, {1, 2}, {0, 2}])
         assert test_c1p(m) is None
         assert brute_c1p(m) is None
 
@@ -73,7 +69,7 @@ class TestBasics:
             enumerate_frontiers(t)
 
     def test_structure_validates(self):
-        m = from_cols(6, [{0, 1}, {1, 2}, {3, 4}, {2, 3}, {0, 1, 2}])
+        m = matrix_from_columns(6, [{0, 1}, {1, 2}, {3, 4}, {2, 3}, {0, 1, 2}])
         t = test_c1p(m)
         assert t is not None
         t.validate()
@@ -110,7 +106,7 @@ class TestBitsetColumns:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         k = 1500
         cols = [set(range(j + 1)) for j in range(1, k + 1)] + [{0, k + 1}]
-        t = test_c1p(from_cols(k + 2, cols))
+        t = test_c1p(matrix_from_columns(k + 2, cols))
         assert t is not None
         t.validate()
         position = {r: i for i, r in enumerate(frontier(t))}
@@ -184,7 +180,7 @@ class TestAgainstBruteForce:
         subsets = [frozenset(s) for k in range(2, 4) for s in combinations(range(rows), k)]
         for k in range(1, 4):
             for cols in combinations(subsets, k):
-                m = from_cols(rows, cols)
+                m = matrix_from_columns(rows, cols)
                 t = test_c1p(m)
                 valid = valid_c1p_perms(m)
                 if t is None:

@@ -135,6 +135,22 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "name, text, command",
+        [("f.cnf", "p cnf 1000 0\n", "sat"), ("g.graph", "2500\n0 1\n", "subset")],
+    )
+    def test_generator_size_guard(self, tmp_path, capsys, name, text, command):
+        # 5,001 points each, one over reductions.MAX_POINTS: without the guard
+        # each run would build a 200 MB matrix instead of refusing
+        path = tmp_path / name
+        path.write_text(text)
+        prefix = tmp_path / "inst"
+        code, out, err = run(capsys, "gen", command, str(path), "--out-prefix", str(prefix))
+        assert code == 3
+        assert out == ""
+        assert "refused" in err and "5001 points" in err
+        assert not list(tmp_path.glob("inst*"))
+
     def test_removed_restricted_splits_flag(self, tmp_path, capsys):
         path = tmp_path / "m.matrix"
         write_matrix(CHAIN3, path)
@@ -320,3 +336,36 @@ class TestJsonTextParity:
         _, out, err = run(capsys, "recognize", str(path))
         assert "elapsed_ms" not in out
         assert "elapsed_ms" in err
+
+
+class TestTracedEntryPoints:
+    """The benchmark's traced run wraps these module attributes; each command
+    must still reach them there, or its per-layer times silently read 0."""
+
+    def test_commands_call_wrapped_entry_points(self, tmp_path, capsys, monkeypatch):
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("orient_star", "assign_star", "path_orientation", "check_compatible", "count_xi"):
+            count(robinson.cli, name)
+        for name in ("read_matrix", "read_oriented_tree"):
+            count(robinson.fileio, name)
+        mpath, opath = tmp_path / "m.matrix", tmp_path / "t.orient"
+        write_matrix(CHAIN3, mpath)
+        opath.write_text("3\n0 1\n1 2\n")
+        m = str(mpath)
+        for argv in (["orient", "star", m], ["assign", "star", m, "--in", "1", "--out", "1"],
+                     ["orient", "path", m, "--order", "0,1,2"], ["check", m, str(opath)]):
+            assert run(capsys, "--json", *argv)[0] == 0
+        assert calls == {
+            "read_matrix": 4, "orient_star": 1, "assign_star": 1, "path_orientation": 1,
+            "read_oriented_tree": 1, "check_compatible": 1, "count_xi": 1,
+        }

@@ -23,7 +23,7 @@ from robinson import (
     maximal_directed_paths,
     reachability,
 )
-from support import random_space, random_tree, triple_one_way, triple_two_way
+from support import random_space, random_tree, tree_path, triple_one_way, triple_two_way
 
 
 def constant_space(n, value=1.0):
@@ -264,7 +264,7 @@ def test_reachability_antisymmetric_transitive():
             for v in range(t.n):
                 if u == v:
                     continue
-                p = t.path(u, v)
+                p = tree_path(t, u, v)
                 forward = all((p[i], p[i + 1]) in set(ot.arcs) for i in range(len(p) - 1))
                 assert ((u, v) in r) == forward
 

@@ -15,7 +15,7 @@ from robinson.oracle import (
     brute_two_way,
 )
 from robinson.reductions import SimpleGraph, build_subset_instance
-from support import path_tree, random_space
+from support import matrix_from_columns, path_tree, random_space
 
 
 def constant_space(n):
@@ -69,7 +69,7 @@ class TestBruteC1p:
         assert brute_c1p(m) == (0, 1, 2)
 
     def test_pair_triangle_absent(self):
-        m = BinaryMatrix.from_columns(3, [{0, 1}, {1, 2}, {0, 2}])
+        m = matrix_from_columns(3, [{0, 1}, {1, 2}, {0, 2}])
         assert brute_c1p(m) is None
 
     def test_all_ones(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ import pytest
 from robinson import (
     DissimilaritySpace,
     InputError,
-    build_segment_matrix,
     enumerate_frontiers,
     is_two_way_order,
     recognize_two_way,
     segment,
 )
 from robinson.oracle import brute_two_way
+from robinson.recognition import _membership_tensor
 from support import planted_two_way_space, random_space
 
 CHAIN3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -53,43 +54,40 @@ class TestSegment:
             segment(CHAIN3, 1, 1)
 
 
+def assert_tensor_matches_segment(space):
+    """Every (x, y) slice of the membership tensor holds exactly S(x, y)."""
+    m = _membership_tensor(space)
+    for x, y in permutations(range(space.n), 2):
+        assert set(np.flatnonzero(m[x, y])) == segment(space, x, y).members
+    return m
+
+
 class TestSegmentMatrix:
+    """The membership tensor m[x, y, t] = (t in S(x, y)) that recognition reads."""
+
     def test_two_points_all_ones(self):
-        sm = build_segment_matrix(constant_space(2))
-        assert sm.matrix.data == ((1, 1), (1, 1))
+        m = assert_tensor_matches_segment(constant_space(2))
+        assert m[0, 1].all() and m[1, 0].all()
 
     def test_constant_three_points_all_ones(self):
-        sm = build_segment_matrix(constant_space(3))
-        assert sm.matrix.rows == 3 and sm.matrix.cols == 6
-        assert all(all(x == 1 for x in row) for row in sm.matrix.data)
+        m = assert_tensor_matches_segment(constant_space(3))
+        assert m[~np.eye(3, dtype=bool)].all()
 
     def test_chain_columns(self):
-        sm = build_segment_matrix(CHAIN3)
-        by_pair = dict(zip(sm.pairs, zip(*sm.matrix.data)))
-        assert by_pair[(0, 2)] == (1, 1, 1)
-        assert sum(by_pair[(0, 1)]) == 2
-        assert sum(by_pair[(1, 2)]) == 2
+        m = assert_tensor_matches_segment(CHAIN3)
+        assert m[0, 2].all()
+        assert m[0, 1].sum() == 2
+        assert m[1, 2].sum() == 2
 
     def test_ordered_pair_columns_identical(self):
         rng = random.Random(29)
         for _ in range(20):
-            space = random_space(rng, 5)
-            sm = build_segment_matrix(space)
-            by_pair = dict(zip(sm.pairs, zip(*sm.matrix.data)))
-            for x in range(5):
-                for y in range(x + 1, 5):
-                    assert by_pair[(x, y)] == by_pair[(y, x)]
+            m = _membership_tensor(random_space(rng, 5))
+            assert np.array_equal(m, m.transpose(1, 0, 2))
 
     def test_matches_scalar_segment(self):
         rng = random.Random(31)
-        space = random_space(rng, 6, values=[1.0, 2.0, 3.0])
-        sm = build_segment_matrix(space)
-        by_pair = dict(zip(sm.pairs, zip(*sm.matrix.data)))
-        for x in range(6):
-            for y in range(6):
-                if x != y:
-                    members = {t for t in range(6) if by_pair[(x, y)][t]}
-                    assert members == segment(space, x, y).members
+        assert_tensor_matches_segment(random_space(rng, 6, values=[1.0, 2.0, 3.0]))
 
 
 class TestRecognize:

@@ -11,6 +11,8 @@ import pytest
 from robinson import (
     DissimilaritySpace,
     InputError,
+    SizeGuardError,
+    Tree,
     check_compatible,
     count_xi,
     is_two_way_order,
@@ -193,6 +195,27 @@ class TestSubsetInstance:
         assert inst.space.is_symmetric
         off = inst.space.d[~np.eye(inst.space.n, dtype=bool)]
         assert set(np.unique(off)) == {1.0, 2.0}
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 1), (0, 1)], "self-loop at vertex 1"),
+            ([(0, 1), (1, 3)], "edge (1, 3) out of range for n=3"),
+            ([(0, 1), (1, 0)], "duplicate edge (1, 0)"),
+        ],
+    )
+    def test_graph_edges_rejected_as_tree_edges(self, edges, message):
+        for build in (SimpleGraph, Tree):
+            with pytest.raises(InputError) as exc:
+                build(3, edges)
+            assert str(exc.value) == message
+
+    def test_size_guard_before_allocation(self):
+        # 2 * 2500 clone points plus one edge point: one over the limit
+        with pytest.raises(SizeGuardError):
+            build_subset_instance(SimpleGraph(2500, [(0, 1)]))
+        with pytest.raises(SizeGuardError):
+            build_orientation_instance(Cnf3(1000, []))  # 1 + 5 * 1000 points
 
 
 class TestAssignmentInstance:

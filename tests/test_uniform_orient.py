@@ -34,6 +34,7 @@ from support import (
     random_tree,
     star_tree,
     tree_from_pruefer,
+    tree_path,
 )
 
 
@@ -74,7 +75,7 @@ class TestVerifyAllPathsRobinson:
             np.fill_diagonal(d, 0.0)
             space = DissimilaritySpace(d)
             naive = all(
-                is_one_way_order(space, t.path(u, v))
+                is_one_way_order(space, tree_path(t, u, v))
                 for u in range(n)
                 for v in range(n)
                 if u != v
@@ -214,7 +215,7 @@ class TestOrientAllRobinson:
             for u in range(n):
                 for v in range(n):
                     if u != v:
-                        d[u, v] = f[len(t.path(u, v)) - 1]
+                        d[u, v] = f[len(tree_path(t, u, v)) - 1]
             space = DissimilaritySpace(d)
             assert verify_all_paths_robinson(space, t)
             ot, xi = orient_all_robinson(space, t, verify_premise=True)
