@@ -172,7 +172,7 @@ def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
         seen.add(v)
 
 
-def _one_way_ok(d: np.ndarray, order: Sequence[int]) -> bool:
+def _one_way_ok(d: np.ndarray | list[list[float]], order: Sequence[int]) -> bool:
     # Equivalent to the triple definition: d(p_i,p_k) >= max(d(p_i,p_j),
     # d(p_j,p_k)) for all i<j<k holds iff every row is monotone under
     # extending the right endpoint and contracting the left one (chain the
@@ -285,5 +285,5 @@ def check_compatible(space: DissimilaritySpace, ot: OrientedTree) -> bool:
     """
     if space.n != ot.tree.n:
         raise InputError(f"space has {space.n} points but tree has {ot.tree.n} vertices")
-    d = space.d
-    return all(_one_way_ok(d, p) for p in maximal_directed_paths(ot))
+    rows = space.d.tolist()  # nested lists: no numpy scalar per entry read
+    return all(_one_way_ok(rows, p) for p in maximal_directed_paths(ot))

@@ -80,7 +80,7 @@ class Cnf3:
 def parse_dimacs(text: str) -> Cnf3:
     """DIMACS CNF with a `p cnf n m` header; clauses terminated by 0.
     Clauses with other than three literals are rejected."""
-    num_vars = num_clauses = -1
+    header: Optional[tuple[int, int]] = None
     literals: list[int] = []
     clauses: list[list[int]] = []
     for line in text.splitlines():
@@ -92,9 +92,11 @@ def parse_dimacs(text: str) -> Cnf3:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InputError(f"bad DIMACS header: {line!r}")
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                header = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise InputError(f"bad DIMACS header: {line!r}") from exc
+            if min(header) < 0:
+                raise InputError(f"bad DIMACS header: {line!r}")
             continue
         for tok in line.split():
             try:
@@ -106,11 +108,12 @@ def parse_dimacs(text: str) -> Cnf3:
                 literals = []
             else:
                 literals.append(v)
-    if num_vars < 0:
+    if header is None:
         raise InputError("missing DIMACS header")
+    num_vars, num_clauses = header
     if literals:
         clauses.append(literals)  # tolerate a missing final 0
-    if num_clauses >= 0 and len(clauses) != num_clauses:
+    if len(clauses) != num_clauses:
         raise InputError(f"header promises {num_clauses} clauses, found {len(clauses)}")
     return Cnf3(num_vars, clauses)
 

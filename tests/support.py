@@ -12,6 +12,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from robinson import BinaryMatrix, DissimilaritySpace, Tree
+from robinson.c1p import reduce_columns
+from robinson.recognition import _membership_tensor
 
 
 def triple_one_way(d, order) -> bool:
@@ -216,3 +218,12 @@ def planted_c1p_matrix(rng: random.Random, rows: int, cols: int):
         for p in range(lo, hi + 1):
             data[hidden[p]][j] = 1
     return BinaryMatrix(data)
+
+
+def full_segment_reduction(space: DissimilaritySpace):
+    """PQ-tree of every x < y segment column, reduced in row-major (x, y)
+    order, or None: the recognizer before verify-and-refine, whose frontier
+    set is exactly the set of compatible orders."""
+    n = space.n
+    cols = _membership_tensor(space)[~np.tri(n, dtype=bool)]
+    return reduce_columns(n, (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols))

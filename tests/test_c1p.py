@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from robinson import (
     BinaryMatrix,
+    DissimilaritySpace,
     InputError,
     SizeGuardError,
     enumerate_frontiers,
@@ -23,7 +25,15 @@ from robinson import (
 )
 from robinson.c1p import reduce_columns
 from robinson.oracle import brute_c1p
-from support import matrix_from_columns, planted_c1p_matrix, valid_c1p_perms
+from support import (
+    full_segment_reduction,
+    matrix_from_columns,
+    planted_c1p_matrix,
+    planted_two_way_space,
+    random_space,
+    triple_two_way,
+    valid_c1p_perms,
+)
 
 
 class TestBasics:
@@ -187,3 +197,36 @@ class TestAgainstBruteForce:
                     assert not valid, cols
                 else:
                     assert enumerate_frontiers(t) == valid, cols
+
+
+class TestSegmentColumns:
+    """The PQ-tree of all segment columns of a space has exactly the
+    two-way orders as its frontiers, checked against brute force."""
+
+    @staticmethod
+    def two_way_orders(space):
+        d = space.d
+        return {p for p in permutations(range(space.n)) if triple_two_way(d, p)}
+
+    def test_pq_tree_frontiers_all_compatible(self):
+        chain = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        t = full_segment_reduction(chain)
+        assert t is not None
+        assert enumerate_frontiers(t) == self.two_way_orders(chain) == {(0, 1, 2), (2, 1, 0)}
+        rng = random.Random(5)
+        present = 0
+        for trial in range(90):
+            n = rng.randrange(2, 7)
+            if trial % 3 == 0:
+                space, _ = planted_two_way_space(rng, n)
+                space = DissimilaritySpace(np.round(space.d))  # ties
+            else:
+                space = random_space(rng, n, values=[1.0, 2.0, 3.0][: 2 + trial % 2])
+            t = full_segment_reduction(space)
+            want = self.two_way_orders(space)
+            if t is None:
+                assert not want
+            else:
+                assert enumerate_frontiers(t) == want
+                present += 1
+        assert present > 30

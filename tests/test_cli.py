@@ -116,6 +116,18 @@ class TestExitCodes:
         assert code == 3
         assert "refused" in err
 
+    def test_recognition_size_guard(self, tmp_path, capsys, monkeypatch):
+        def refuse(space):
+            raise AssertionError("membership tensor built")
+
+        monkeypatch.setattr(robinson.recognition, "_membership_tensor", refuse)
+        path = tmp_path / "m.matrix"
+        write_constant_matrix(path, robinson.recognition.MAX_POINTS + 1)
+        code, out, err = run(capsys, "recognize", str(path))
+        assert code == 3
+        assert out == ""
+        assert "refused: instance of 601 points exceeds the limit of 600" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "recognize", "/nonexistent/m.matrix")
         assert code == 2
@@ -172,6 +184,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    def test_negative_dimacs_count(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf -3 0\n")
+        code, out, err = run(capsys, "gen", "sat", str(path), "--out-prefix", str(tmp_path / "inst"))
+        assert code == 2
+        assert out == ""
+        assert "bad DIMACS header: 'p cnf -3 0'" in err
 
     def test_non_utf8_cnf_file(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"

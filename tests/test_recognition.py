@@ -11,14 +11,14 @@ import pytest
 from robinson import (
     DissimilaritySpace,
     InputError,
-    enumerate_frontiers,
     is_two_way_order,
     recognize_two_way,
     segment,
 )
 from robinson.oracle import brute_two_way
+import robinson.recognition
 from robinson.recognition import _membership_tensor
-from support import planted_two_way_space, random_space
+from support import full_segment_reduction, planted_two_way_space, random_space
 
 CHAIN3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 ASYM3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [0.5, 1, 0]])
@@ -90,6 +90,45 @@ class TestSegmentMatrix:
         assert_tensor_matches_segment(random_space(rng, 6, values=[1.0, 2.0, 3.0]))
 
 
+def rounded_planted(rng, n):
+    space, _ = planted_two_way_space(rng, n)
+    return DissimilaritySpace(np.round(space.d))
+
+
+def planted_with_obstruction(rng, n):
+    # two-way-Robinson is hereditary, so a non-two-way triple makes it NO
+    d = np.array(planted_two_way_space(rng, n)[0].d)
+    idx = rng.sample(range(n), 3)
+    d[np.ix_(idx, idx)] = ASYM3.d
+    return DissimilaritySpace(d)
+
+
+def few_valued(rng, n):
+    return random_space(rng, n, values=[1.0, 2.0, 3.0][: rng.choice((2, 3))])
+
+
+def ultrametric_like(rng, n):
+    """Forward and backward ultrametrics on one random dendrogram, each with
+    its own small integer heights per level, labels shuffled: YES."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    fwd = [0] + sorted(rng.randrange(1, 6) for _ in range(n))
+    bwd = [0] + sorted(rng.randrange(1, 6) for _ in range(n))
+    d = np.zeros((n, n))
+    stack = [(labels, n)]
+    while stack:
+        block, level = stack.pop()
+        if len(block) < 2:
+            continue
+        cut = rng.randrange(1, len(block))
+        left, right = block[:cut], block[cut:]
+        for x in left:
+            for y in right:
+                d[x, y], d[y, x] = fwd[level], bwd[level]
+        stack += [(left, level - 1), (right, level - 1)]
+    return DissimilaritySpace(d)
+
+
 class TestRecognize:
     def test_tiny_spaces_present(self):
         assert recognize_two_way(DissimilaritySpace([[0.0]])) is not None
@@ -154,14 +193,62 @@ class TestRecognize:
         res = recognize_two_way(space)
         assert res is not None
         assert is_two_way_order(space, res[0])
-        # two-way-Robinson is hereditary, so a non-two-way triple makes it NO
-        d = np.array(space.d)
-        idx = rng.sample(range(n), 3)
-        d[np.ix_(idx, idx)] = ASYM3.d
-        assert recognize_two_way(DissimilaritySpace(d)) is None
+        assert recognize_two_way(planted_with_obstruction(rng, n)) is None
 
-    def test_pq_tree_frontiers_all_compatible(self):
-        res = recognize_two_way(CHAIN3)
-        assert res is not None
-        for order in enumerate_frontiers(res[1]):
-            assert is_two_way_order(CHAIN3, order)
+
+REFINE_FAMILIES = (
+    lambda rng, n: planted_two_way_space(rng, n)[0],
+    rounded_planted,
+    planted_with_obstruction,
+    few_valued,
+    lambda rng, n: constant_space(n),
+    ultrametric_like,
+)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """One list per C1P reduction that recognition runs, of the columns read."""
+    calls = []
+    reduce_columns = robinson.recognition.reduce_columns
+
+    def counted(rows, columns):
+        read = []
+        calls.append(read)
+        return reduce_columns(rows, (read.append(s) or s for s in columns))
+
+    monkeypatch.setattr(robinson.recognition, "reduce_columns", counted)
+    return calls
+
+
+class TestVerifyAndRefine:
+    """Spaces with n >= 10, the sizes at which the recognizer reduces only a
+    part of the segment columns and checks the candidate order."""
+
+    def test_agrees_with_full_segment_reduction(self, reductions):
+        rng = random.Random(47)
+        rounds = []
+        yes = 0
+        for trial in range(540):
+            n = rng.randrange(10, 41)
+            space = REFINE_FAMILIES[trial % len(REFINE_FAMILIES)](rng, n)
+            del reductions[:]
+            got = recognize_two_way(space)
+            rounds.append(len(reductions))
+            want = full_segment_reduction(space)
+            assert (got is None) == (want is None), trial
+            if got is not None:
+                assert is_two_way_order(space, got[0]), trial
+                yes += 1
+        assert 200 < yes < 540
+        assert sum(r >= 2 for r in rounds) > 50
+
+    def test_small_spaces_take_one_round(self, reductions):
+        # n(n-1)/2 <= 4n for n <= 9: the first round reduces every column
+        rng = random.Random(53)
+        for n in range(1, 10):
+            space, _ = planted_two_way_space(rng, n)
+            del reductions[:]
+            assert recognize_two_way(space) is not None
+            assert list(map(len, reductions)) == [n * (n - 1) // 2]
+
