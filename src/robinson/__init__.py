@@ -19,8 +19,9 @@ from .core import (
     reachability,
 )
 from .errors import InputError, PreconditionError, SizeGuardError
+from .oracle import Segment, segment
 from .paths import EtaTable, eta_table, path_orientation
-from .recognition import Segment, recognize_two_way, segment
+from .recognition import recognize_two_way
 from .reductions import (
     Cnf3,
     OrientationInstance,

@@ -13,5 +13,5 @@ class PreconditionError(InputError):
 
 
 class SizeGuardError(RuntimeError):
-    """A brute-force search, an instance generator or two-way recognition
-    refused to run because the instance is too large."""
+    """A brute-force search, an instance generator, two-way recognition or
+    a premise check refused to run because the instance is too large."""

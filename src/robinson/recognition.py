@@ -1,61 +1,50 @@
 """Two-way-Robinson recognition via segment membership and the C1P.
 
 A space is two-way-Robinson iff some total order makes every segment
-S(x,y) an interval, which is a consecutive-ones question on the n x (n^2-n)
-segment membership matrix.  The membership tensor is built vectorised in
-O(n^3).  Recognition is verify-and-refine (lazy constraint generation):
-the C1P reducer gets only a few of the x < y columns, as int bitsets, and
-the order it proposes is checked against all of them in one vectorised
-pass; violated columns are added and the reduction repeated until the
-order passes or the reducer fails.
+S(x,y) an interval, which is a consecutive-ones question on the segment
+membership columns.  Recognition is verify-and-refine (lazy constraint
+generation): the C1P reducer gets only a few of the x < y columns, as int
+bitsets, and the order it proposes is checked against all of them, built
+block by block with the point axis already in that order; violated columns
+are added and the reduction repeated until the order passes or the reducer
+fails.  No step holds more than O(n^2) membership entries at once, and a NO
+found in the first round costs O(n^2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .c1p import PQTree, frontier, reduce_columns
 from .core import DissimilaritySpace, VertexOrder
-from .errors import InputError, SizeGuardError
+from .errors import SizeGuardError
 
-# recognition refuses larger spaces: its segment tensor takes n^3 bytes, and
-# peak memory is about 2n^3 bytes (some 470 MB at the limit)
+# recognition refuses larger spaces: each round's check takes O(n^3) time,
+# and rounds are bounded only by the number of columns.  Memory is O(n^2):
+# peak RSS, interpreter included, is about 66 MB on a planted YES at the limit
 MAX_POINTS = 600
 
 
-@dataclass(frozen=True)
-class Segment:
-    """The set of points lying 'between' x and y in every compatible order."""
+def _segment_columns(
+    d: np.ndarray, x: np.ndarray, y: np.ndarray, axis: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
+    """Boolean array whose row j marks the members t of S(x[j], y[j]):
+    d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x)).
 
-    x: int
-    y: int
-    members: frozenset[int]
-
-
-def _membership_tensor(space: DissimilaritySpace) -> np.ndarray:
-    """Boolean tensor m[x, y, t] = (t is in S(x, y)), vectorized."""
-    d = space.d
-    one_sided = (d[:, :, None] >= d[:, None, :]) & (d[:, :, None] >= d.T[None, :, :])
-    return one_sided & one_sided.transpose(1, 0, 2)
-
-
-def segment(space: DissimilaritySpace, x: int, y: int) -> Segment:
-    """S(x,y) = {t : d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x))}."""
-    if x == y:
-        raise InputError("segment anchors must be distinct")
-    if not (0 <= x < space.n and 0 <= y < space.n):
-        raise InputError(f"segment anchors ({x}, {y}) out of range")
-    d = space.d
-    dxy, dyx = d[x, y], d[y, x]
-    members = frozenset(
-        t
-        for t in range(space.n)
-        if dxy >= d[x, t] and dxy >= d[t, y] and dyx >= d[y, t] and dyx >= d[t, x]
-    )
-    return Segment(x, y, members)
+    `axis` is the pair (d[:, order], d.T[:, order]), both C-contiguous, which
+    lays the point axis out in that order; by default it is the identity.
+    """
+    fwd, bwd = (d, d.T) if axis is None else axis
+    dxy, dyx = d[x, y][:, None], d[y, x][:, None]
+    # one float temporary at a time: a block of them alive together makes
+    # the allocator hand pages back and fault them in again on every block
+    cols = dxy >= fwd.take(x, 0)
+    cols &= dxy >= bwd.take(y, 0)
+    cols &= dyx >= fwd.take(y, 0)
+    cols &= dyx >= bwd.take(x, 0)
+    return cols
 
 
 def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, PQTree]]:
@@ -63,17 +52,19 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     the way, or None if the space is not two-way-Robinson.
 
     Ordered-pair columns come in identical (x,y)/(y,x) twins; only the x < y
-    half is used, bit-packed once.  The first 4n of its columns, in
-    row-major (x, y) order, go to the C1P reducer as a lazy stream of int
-    bitsets, so a NO answer builds none past the first failing column, and
-    the tree's leftmost frontier becomes the candidate order.  Every column
-    is then tested against it in one vectorised pass; the first 4n columns
-    it violates join the reduced ones, and the reduction is redone from a
-    fresh tree.  The loop ends when the candidate violates no column or
-    every column has been reduced.  A column already reduced is never
-    violated, so each round adds at least one new column.  For n <= 9 the
-    first round takes every column, so those spaces are decided in one
-    round with no check.
+    half is used, in row-major (x, y) order.  Round 1 builds the first 4n
+    columns, bit-packs them and streams them to the C1P reducer as int
+    bitsets, so a NO answer reads none past the first failing column, and
+    the tree's leftmost frontier becomes the candidate order.  The check
+    then builds every column in blocks of 4n, with the point axis already
+    in the candidate order, so a column is an interval iff its ones start
+    at most once; the scan stops at the 4n-th violated column.  Those
+    columns join the reduced ones, which are rebuilt from their (x, y)
+    pairs and reduced again from a fresh tree.  The loop ends when the
+    candidate violates no column or every column has been reduced.  A
+    column already reduced is never violated, so each round adds at least
+    one new column.  For n <= 9 the first round takes every column, so
+    those spaces are decided in one round with no check.
 
     Both answers are exact.  YES: every segment is an interval of the
     returned order, which is therefore compatible.  NO: some subset of the
@@ -87,23 +78,30 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     n = space.n
     if n > MAX_POINTS:
         raise SizeGuardError(f"instance of {n} points exceeds the limit of {MAX_POINTS}")
-    cols = _membership_tensor(space)[~np.tri(n, dtype=bool)]  # x < y, row-major (x, y)
-    packed = np.packbits(cols, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
+    d = space.d
+    r = np.arange(n)
+    xs, ys = np.nonzero(r[:, None] < r)  # x < y, row-major (x, y)
     k = 4 * n
-    offsets = range(0, min(k, len(cols)) * width, width)  # of the columns to reduce
+    x, y = xs[:k], ys[:k]  # the pairs whose columns are reduced
     while True:
-        tree = reduce_columns(n, (int.from_bytes(data[o : o + width], "little") for o in offsets))
+        packed = np.packbits(_segment_columns(d, x, y), axis=1, bitorder="little")
+        width, data = packed.shape[1], packed.tobytes()
+        stream = (int.from_bytes(data[o : o + width], "little") for o in range(0, len(data), width))
+        tree = reduce_columns(n, stream)
         if tree is None:
             return None
         order = frontier(tree)
-        if len(offsets) == len(cols):
+        if len(x) == len(xs):
             return order, tree
-        # a column is an interval of the order iff its ones start at most once
-        p = cols[:, order]
-        starts = np.count_nonzero(p[:, 1:] > p[:, :-1], axis=1) + p[:, 0]
-        violated = np.flatnonzero(starts > 1)
-        if not len(violated):
+        axis = (d.take(order, 1), d.T.take(order, 1))
+        violated: list[int] = []
+        for lo in range(0, len(xs), k):
+            p = _segment_columns(d, xs[lo : lo + k], ys[lo : lo + k], axis)
+            starts = np.count_nonzero(p[:, 1:] > p[:, :-1], axis=1) + p[:, 0]
+            violated.extend((np.flatnonzero(starts > 1) + lo).tolist())
+            if len(violated) >= k:
+                break
+        if not violated:
             return order, tree
-        offsets = [*offsets, *(violated[:k] * width).tolist()]
+        v = violated[:k]
+        x, y = np.concatenate((x, xs[v])), np.concatenate((y, ys[v]))

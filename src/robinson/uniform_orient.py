@@ -15,7 +15,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import DissimilaritySpace, OrientedTree, Tree, reach_sizes
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, SizeGuardError
+
+# orient_all_robinson refuses to verify its premise on larger trees: the
+# check is O(n^3), some 6 s at 600 points on a monotone path
+PREMISE_MAX_POINTS = 1000
 
 
 def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
@@ -149,16 +153,21 @@ def orient_all_robinson(
 
     Every component of T minus the centroid is oriented uniformly toward or
     away from it, the In side chosen by the subset-sum over their sizes.  The premise is
-    the caller's promise unless verify_premise is set (it costs more than
-    the algorithm); space may be None when no verification is requested.
+    the caller's promise unless verify_premise is set (it costs O(n^3), more
+    than the algorithm, and is refused above PREMISE_MAX_POINTS points);
+    space may be None when no verification is requested.
     """
+    if space is not None and space.n != t.n:
+        raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if verify_premise:
         if space is None:
             raise InputError("premise verification needs the dissimilarity space")
+        if t.n > PREMISE_MAX_POINTS:
+            raise SizeGuardError(
+                f"premise verification of {t.n} points exceeds the limit of {PREMISE_MAX_POINTS}"
+            )
         if not verify_all_paths_robinson(space, t):
             raise PreconditionError("some tree path is not Robinson for d")
-    elif space is not None and space.n != t.n:
-        raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     n = t.n
     if n == 1:
         return OrientedTree(t, []), 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from robinson import BinaryMatrix, DissimilaritySpace, Tree
 from robinson.c1p import reduce_columns
-from robinson.recognition import _membership_tensor
 
 
 def triple_one_way(d, order) -> bool:
@@ -220,10 +219,18 @@ def planted_c1p_matrix(rng: random.Random, rows: int, cols: int):
     return BinaryMatrix(data)
 
 
+def membership_tensor(space: DissimilaritySpace) -> np.ndarray:
+    """Boolean tensor m[x, y, t] = (t is in S(x, y)) over every ordered pair,
+    n^3 entries at once: the reference for recognition's segment columns."""
+    d = space.d
+    one_sided = (d[:, :, None] >= d[:, None, :]) & (d[:, :, None] >= d.T[None, :, :])
+    return one_sided & one_sided.transpose(1, 0, 2)
+
+
 def full_segment_reduction(space: DissimilaritySpace):
     """PQ-tree of every x < y segment column, reduced in row-major (x, y)
     order, or None: the recognizer before verify-and-refine, whose frontier
     set is exactly the set of compatible orders."""
     n = space.n
-    cols = _membership_tensor(space)[~np.tri(n, dtype=bool)]
+    cols = membership_tensor(space)[~np.tri(n, dtype=bool)]
     return reduce_columns(n, (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols))

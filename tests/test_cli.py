@@ -117,16 +117,30 @@ class TestExitCodes:
         assert "refused" in err
 
     def test_recognition_size_guard(self, tmp_path, capsys, monkeypatch):
-        def refuse(space):
-            raise AssertionError("membership tensor built")
+        def refuse(*args):
+            raise AssertionError("segment columns built")
 
-        monkeypatch.setattr(robinson.recognition, "_membership_tensor", refuse)
+        monkeypatch.setattr(robinson.recognition, "_segment_columns", refuse)
         path = tmp_path / "m.matrix"
         write_constant_matrix(path, robinson.recognition.MAX_POINTS + 1)
         code, out, err = run(capsys, "recognize", str(path))
         assert code == 3
         assert out == ""
         assert "refused: instance of 601 points exceeds the limit of 600" in err
+
+    def test_verify_premise_size_guard(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("premise verified")
+
+        monkeypatch.setattr(robinson.uniform_orient, "verify_all_paths_robinson", refuse)
+        n = robinson.uniform_orient.PREMISE_MAX_POINTS + 1
+        mpath, tpath = tmp_path / "m.matrix", tmp_path / "t.tree"
+        write_constant_matrix(mpath, n)
+        write_tree(Tree(n, [(i, i + 1) for i in range(n - 1)]), tpath)
+        code, out, err = run(capsys, "orient", "tree", str(mpath), str(tpath), "--verify-premise")
+        assert code == 3
+        assert out == ""
+        assert f"refused: premise verification of {n} points exceeds the limit of {n - 1}" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "recognize", "/nonexistent/m.matrix")

@@ -17,8 +17,8 @@ from robinson import (
 )
 from robinson.oracle import brute_two_way
 import robinson.recognition
-from robinson.recognition import _membership_tensor
-from support import full_segment_reduction, planted_two_way_space, random_space
+from robinson.recognition import _segment_columns
+from support import full_segment_reduction, membership_tensor, planted_two_way_space, random_space
 
 CHAIN3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 ASYM3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [0.5, 1, 0]])
@@ -56,14 +56,14 @@ class TestSegment:
 
 def assert_tensor_matches_segment(space):
     """Every (x, y) slice of the membership tensor holds exactly S(x, y)."""
-    m = _membership_tensor(space)
+    m = membership_tensor(space)
     for x, y in permutations(range(space.n), 2):
         assert set(np.flatnonzero(m[x, y])) == segment(space, x, y).members
     return m
 
 
 class TestSegmentMatrix:
-    """The membership tensor m[x, y, t] = (t in S(x, y)) that recognition reads."""
+    """The reference membership tensor m[x, y, t] = (t in S(x, y))."""
 
     def test_two_points_all_ones(self):
         m = assert_tensor_matches_segment(constant_space(2))
@@ -82,12 +82,59 @@ class TestSegmentMatrix:
     def test_ordered_pair_columns_identical(self):
         rng = random.Random(29)
         for _ in range(20):
-            m = _membership_tensor(random_space(rng, 5))
+            m = membership_tensor(random_space(rng, 5))
             assert np.array_equal(m, m.transpose(1, 0, 2))
 
     def test_matches_scalar_segment(self):
         rng = random.Random(31)
         assert_tensor_matches_segment(random_space(rng, 6, values=[1.0, 2.0, 3.0]))
+
+
+def kernel_spaces():
+    """Seeded spaces with n 1-12: ties, asymmetric, constant and CHAIN3."""
+    rng = random.Random(59)
+    yield CHAIN3
+    yield ASYM3
+    for n in range(1, 13):
+        yield constant_space(n)
+        yield random_space(rng, n)
+        yield random_space(rng, n, values=[1.0, 2.0])
+        yield random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
+        yield planted_two_way_space(rng, n)[0]
+
+
+class TestSegmentColumns:
+    """The kernel that builds recognition's x < y segment columns."""
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_matches_scalar_segment(self, permuted):
+        rng = random.Random(61)
+        for space in kernel_spaces():
+            n, d = space.n, space.d
+            order = rng.sample(range(n), n) if permuted else list(range(n))
+            axis = (d.take(order, 1), d.T.take(order, 1)) if permuted else None
+            x, y = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+            cols = _segment_columns(d, x, y, axis)
+            assert cols.shape == (len(x), n)
+            for row, a, b in zip(cols, x, y):
+                want = segment(space, int(a), int(b)).members
+                assert {order[i] for i in np.flatnonzero(row)} == want
+
+    def test_planted_no_builds_one_round_of_columns(self, monkeypatch):
+        # the obstruction sits on the first three points, so the first 4n
+        # columns already have no consecutive-ones order
+        built = []
+
+        def counted(d, x, y, axis=None):
+            built.append(len(x))
+            return _segment_columns(d, x, y, axis)
+
+        monkeypatch.setattr(robinson.recognition, "_segment_columns", counted)
+        n = 300
+        d = np.array(planted_two_way_space(random.Random(67), n)[0].d)
+        d[:3, :3] = ASYM3.d
+        assert recognize_two_way(DissimilaritySpace(d)) is None
+        assert built == [4 * n]
 
 
 def rounded_planted(rng, n):
