@@ -92,12 +92,6 @@ class BinaryMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", rows)
 
-    def column_set(self, j: int) -> frozenset[int]:
-        return frozenset(r for r in range(self.rows) if self.data[r][j])
-
-    def column_sets(self) -> list[frozenset[int]]:
-        return [self.column_set(j) for j in range(self.cols)]
-
 
 @dataclass(eq=False)
 class PQTree:
@@ -105,34 +99,6 @@ class PQTree:
 
     _root: _Node
     num_leaves: int
-
-    def to_nested(self):
-        """Nested-tuple view, e.g. ('P', (0, ('Q', (1, 2, 3)))); for tests."""
-
-        def conv(node: _Node):
-            if node.kind == LEAF:
-                return node.row
-            return (node.kind, tuple(conv(c) for c in node.children))
-
-        return conv(self._root)
-
-    def validate(self) -> None:
-        """Assert structural invariants (leaf coverage, node arities)."""
-        leaves: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.kind == LEAF:
-                leaves.append(node.row)
-            else:
-                k = len(node.children)
-                if node.kind == P and k < 2:
-                    raise AssertionError(f"P-node with {k} children")
-                if node.kind == Q and k < 3:
-                    raise AssertionError(f"Q-node with {k} children")
-                stack.extend(node.children)
-        if sorted(leaves) != list(range(self.num_leaves)):
-            raise AssertionError("leaves are not exactly the row indices")
 
 
 def frontier(t: PQTree) -> tuple[int, ...]:

@@ -6,11 +6,18 @@ lines `u v` (0-based).  Oriented-tree file: same, `u v` means u -> v.
 Graph file: like a tree file but with any number of edge lines.  Binary
 matrix file: first line `rows cols`, then 0/1 rows.  Lines starting with
 `#` are ignored everywhere.
+
+Rows after the header go through numpy's text parser: decimal and exponent
+reals, and `nan` and `inf` (the space refuses them as non-finite); integers
+in ASCII digits that fit in 64 bits.  Python-only `1_0` and non-ASCII digits
+fail.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from .c1p import BinaryMatrix
 from .core import DissimilaritySpace, OrientedTree, Tree
@@ -39,21 +46,36 @@ def _parse_header_int(lines: list[str], what: str) -> int:
         raise InputError(f"{what}: bad header line {lines[0]!r}") from exc
 
 
+def _parse_rows(lines: list[str], dtype: type, width: int, what: str, edges=False) -> np.ndarray:
+    """The rows as one (len(lines), width) array, parsed in one C-level
+    pass.  Only when that fails are the rows parsed one at a time, to name
+    the first one that does not parse or has the wrong length."""
+    if not lines:
+        return np.empty(0, dtype)  # refused or read as no rows, like an empty list
+    try:
+        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is not None and table.shape[1] == width:
+        return table
+    for ln in lines:
+        try:
+            k = np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2).shape[1]
+        except ValueError:
+            k = None
+        if k != width:
+            raise InputError(f"{what}: bad edge line {ln!r}" if edges
+                             else f"{what}: bad row {ln!r}" if k is None
+                             else f"{what}: row of length {k}, expected {width}")
+    raise AssertionError("rows that fail together must fail one at a time")
+
+
 def read_matrix(path: str | Path) -> DissimilaritySpace:
     lines = _content_lines(path)
     n = _parse_header_int(lines, "matrix file")
     if len(lines) != n + 1:
         raise InputError(f"matrix file: expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [float(x) for x in ln.split()]
-        except ValueError as exc:
-            raise InputError(f"matrix file: bad row {ln!r}") from exc
-        if len(row) != n:
-            raise InputError(f"matrix file: row of length {len(row)}, expected {n}")
-        rows.append(row)
-    return DissimilaritySpace(rows)
+    return DissimilaritySpace(_parse_rows(lines[1:], float, n, "matrix file"))
 
 
 def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
@@ -63,23 +85,15 @@ def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_pairs(lines: list[str], what: str) -> list[tuple[int, int]]:
-    pairs = []
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"{what}: bad edge line {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputError(f"{what}: bad edge line {ln!r}") from exc
-    return pairs
+def _read_pairs(path: str | Path, what: str) -> tuple[int, list[list[int]]]:
+    """Header n and the `u v` lines of a tree, oriented-tree or graph file."""
+    lines = _content_lines(path)
+    n = _parse_header_int(lines, what)
+    return n, _parse_rows(lines[1:], np.int64, 2, what, edges=True).tolist()
 
 
 def read_tree(path: str | Path) -> Tree:
-    lines = _content_lines(path)
-    n = _parse_header_int(lines, "tree file")
-    return Tree(n, _read_pairs(lines[1:], "tree file"))
+    return Tree(*_read_pairs(path, "tree file"))
 
 
 def write_tree(tree: Tree, path: str | Path) -> None:
@@ -88,9 +102,7 @@ def write_tree(tree: Tree, path: str | Path) -> None:
 
 
 def read_oriented_tree(path: str | Path) -> OrientedTree:
-    lines = _content_lines(path)
-    n = _parse_header_int(lines, "oriented-tree file")
-    arcs = _read_pairs(lines[1:], "oriented-tree file")
+    n, arcs = _read_pairs(path, "oriented-tree file")
     return OrientedTree(Tree(n, arcs), arcs)
 
 
@@ -100,34 +112,20 @@ def write_oriented_tree(ot: OrientedTree, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> SimpleGraph:
-    lines = _content_lines(path)
-    n = _parse_header_int(lines, "graph file")
-    return SimpleGraph(n, _read_pairs(lines[1:], "graph file"))
+    return SimpleGraph(*_read_pairs(path, "graph file"))
 
 
 def read_binary_matrix(path: str | Path) -> BinaryMatrix:
     lines = _content_lines(path)
     if not lines:
         raise InputError("binary matrix file: empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InputError(f"binary matrix file: bad header {lines[0]!r}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = map(int, lines[0].split())  # a wrong count fails to unpack
     except ValueError as exc:
         raise InputError(f"binary matrix file: bad header {lines[0]!r}") from exc
     if len(lines) != rows + 1:
         raise InputError(f"binary matrix file: expected {rows} rows, found {len(lines) - 1}")
-    data = []
-    for ln in lines[1:]:
-        try:
-            row = [int(x) for x in ln.split()]
-        except ValueError as exc:
-            raise InputError(f"binary matrix file: bad row {ln!r}") from exc
-        if len(row) != cols:
-            raise InputError(f"binary matrix file: row of length {len(row)}, expected {cols}")
-        data.append(row)
-    return BinaryMatrix(data)
+    return BinaryMatrix(_parse_rows(lines[1:], np.int64, cols, "binary matrix file").tolist())
 
 
 def read_cnf(path: str | Path) -> Cnf3:

@@ -91,11 +91,16 @@ def brute_two_way(space: DissimilaritySpace) -> Optional[VertexOrder]:
     return None
 
 
+def _column_sets(m: BinaryMatrix) -> list[frozenset[int]]:
+    """Each column of m as the set of rows holding a 1."""
+    return [frozenset(r for r in range(m.rows) if m.data[r][j]) for j in range(m.cols)]
+
+
 def brute_c1p(m: BinaryMatrix) -> Optional[VertexOrder]:
     """First row permutation making every column's ones consecutive, if any."""
     if m.rows > C1P_MAX_ROWS:
         raise SizeGuardError(f"row-permutation search guarded to rows <= {C1P_MAX_ROWS}")
-    cols = [c for c in m.column_sets() if len(c) > 1]
+    cols = [c for c in _column_sets(m) if len(c) > 1]
     for perm in permutations(range(m.rows)):
         pos = {r: i for i, r in enumerate(perm)}
         if all(max(pos[r] for r in c) - min(pos[r] for r in c) + 1 == len(c) for c in cols):

@@ -17,18 +17,27 @@ from typing import Optional, Sequence
 from .core import DissimilaritySpace, OrientedTree, Tree, reach_sizes
 from .errors import InputError, PreconditionError, SizeGuardError
 
-# orient_all_robinson refuses to verify its premise on larger trees: the
-# check is O(n^3), some 6 s at 600 points on a monotone path
+# the premise check refuses larger trees: it is O(n^3), some 6 s at 600
+# points on a monotone path
 PREMISE_MAX_POINTS = 1000
+
+
+def _guard_premise(n: int) -> None:
+    if n > PREMISE_MAX_POINTS:
+        raise SizeGuardError(
+            f"premise verification of {n} points exceeds the limit of {PREMISE_MAX_POINTS}"
+        )
 
 
 def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     """True iff for every ordered pair (u, v) the u-to-v tree path is
     one-way-Robinson.  O(n^3): a DFS per root with O(length) checks per
     extension (monotone row/column growth is equivalent to the triple
-    condition once the prefix is known good)."""
+    condition once the prefix is known good).  Refused above
+    PREMISE_MAX_POINTS points."""
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
+    _guard_premise(t.n)
     d = space.d.tolist()  # list reads; numpy would box a scalar per read
     adj = t.adjacency
     for root in range(t.n):
@@ -162,10 +171,7 @@ def orient_all_robinson(
     if verify_premise:
         if space is None:
             raise InputError("premise verification needs the dissimilarity space")
-        if t.n > PREMISE_MAX_POINTS:
-            raise SizeGuardError(
-                f"premise verification of {t.n} points exceeds the limit of {PREMISE_MAX_POINTS}"
-            )
+        _guard_premise(t.n)
         if not verify_all_paths_robinson(space, t):
             raise PreconditionError("some tree path is not Robinson for d")
     n = t.n

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
-from robinson import BinaryMatrix, DissimilaritySpace, Tree
-from robinson.c1p import reduce_columns
+from robinson import BinaryMatrix, DissimilaritySpace, InputError, PQTree, Tree
+from robinson.c1p import LEAF, P, Q, reduce_columns
+from robinson.fileio import _content_lines, _parse_header_int
+from robinson.oracle import _column_sets
 
 
 def triple_one_way(d, order) -> bool:
@@ -190,7 +193,7 @@ def path_tree(order) -> Tree:
 
 def valid_c1p_perms(matrix) -> set[tuple[int, ...]]:
     """All row permutations making every column's ones consecutive."""
-    cols = [c for c in matrix.column_sets() if len(c) > 1]
+    cols = [c for c in _column_sets(matrix) if len(c) > 1]
     good = set()
     for perm in permutations(range(matrix.rows)):
         pos = {r: i for i, r in enumerate(perm)}
@@ -234,3 +237,52 @@ def full_segment_reduction(space: DissimilaritySpace):
     n = space.n
     cols = membership_tensor(space)[~np.tri(n, dtype=bool)]
     return reduce_columns(n, (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols))
+
+
+def pq_to_nested(t: PQTree):
+    """Nested-tuple view of a PQ-tree, e.g. ('P', (0, ('Q', (1, 2, 3))))."""
+
+    def conv(node):
+        if node.kind == LEAF:
+            return node.row
+        return (node.kind, tuple(conv(c) for c in node.children))
+
+    return conv(t._root)
+
+
+def validate_pq_tree(t: PQTree) -> None:
+    """Assert structural invariants (leaf coverage, node arities)."""
+    leaves: list[int] = []
+    stack = [t._root]
+    while stack:
+        node = stack.pop()
+        if node.kind == LEAF:
+            leaves.append(node.row)
+        else:
+            k = len(node.children)
+            if node.kind == P and k < 2:
+                raise AssertionError(f"P-node with {k} children")
+            if node.kind == Q and k < 3:
+                raise AssertionError(f"Q-node with {k} children")
+            stack.extend(node.children)
+    if sorted(leaves) != list(range(t.num_leaves)):
+        raise AssertionError("leaves are not exactly the row indices")
+
+
+def reference_read_matrix(path: str | Path) -> DissimilaritySpace:
+    """The matrix reader with one Python float() per token: the reference
+    for the values `fileio.read_matrix` parses in one pass."""
+    lines = _content_lines(path)
+    n = _parse_header_int(lines, "matrix file")
+    if len(lines) != n + 1:
+        raise InputError(f"matrix file: expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        try:
+            row = [float(x) for x in ln.split()]
+        except ValueError as exc:
+            raise InputError(f"matrix file: bad row {ln!r}") from exc
+        if len(row) != n:
+            raise InputError(f"matrix file: row of length {len(row)}, expected {n}")
+        rows.append(row)
+    return DissimilaritySpace(rows)

@@ -30,9 +30,11 @@ from support import (
     matrix_from_columns,
     planted_c1p_matrix,
     planted_two_way_space,
+    pq_to_nested,
     random_space,
     triple_two_way,
     valid_c1p_perms,
+    validate_pq_tree,
 )
 
 
@@ -41,7 +43,7 @@ class TestBasics:
         m = BinaryMatrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
         t = test_c1p(m)
         assert t is not None
-        assert t.to_nested()[0] == "P"
+        assert pq_to_nested(t)[0] == "P"
         assert len(enumerate_frontiers(t)) == 24
 
     def test_three_pair_columns_impossible(self):
@@ -82,7 +84,7 @@ class TestBasics:
         m = matrix_from_columns(6, [{0, 1}, {1, 2}, {3, 4}, {2, 3}, {0, 1, 2}])
         t = test_c1p(m)
         assert t is not None
-        t.validate()
+        validate_pq_tree(t)
 
 
 def consecutive(position, column) -> bool:
@@ -118,7 +120,7 @@ class TestBitsetColumns:
         cols = [set(range(j + 1)) for j in range(1, k + 1)] + [{0, k + 1}]
         t = test_c1p(matrix_from_columns(k + 2, cols))
         assert t is not None
-        t.validate()
+        validate_pq_tree(t)
         position = {r: i for i, r in enumerate(frontier(t))}
         assert all(consecutive(position, c) for c in cols)
 
@@ -179,7 +181,7 @@ class TestAgainstBruteForce:
             if t is None:
                 assert not valid_c1p_perms(m), m.data
                 continue
-            t.validate()
+            validate_pq_tree(t)
             assert enumerate_frontiers(t) == valid_c1p_perms(m), m.data
             checked += 1
         assert checked > 100

@@ -109,6 +109,29 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("0\n", "dissimilarity matrix must be square, got shape (0,)"),
+        ("2\n0 1\n1 0 5\n", "matrix file: row of length 3, expected 2"),
+        ("2\n0\n1 0\n", "matrix file: row of length 1, expected 2"),
+        ("2\n0 1\n1 x\n", "matrix file: bad row '1 x'"),
+        ("2\n0 1\n", "matrix file: expected 2 rows, found 1"),
+        ("2\n0 1\n1 0\n0 0\n", "matrix file: expected 2 rows, found 3"),
+        ("2\n0 1_0\n1 0\n", "matrix file: bad row '0 1_0'"),  # float() would read 10
+    ], ids=["header-0", "ragged", "short-first-row", "bad-token", "too-few-rows",
+            "too-many-rows", "underscore"])
+    def test_malformed_matrix_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.matrix"
+        path.write_text(text)
+        assert run(capsys, "recognize", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_one_point_matrix(self, tmp_path, capsys):
+        path = tmp_path / "m.matrix"
+        path.write_text("1\n0\n")
+        code, out, _ = run(capsys, "recognize", str(path))
+        assert code == 0
+        assert parse_text(out) == {"answer": "YES", "order": "0"}
+
     def test_size_guard_refusal(self, tmp_path, capsys):
         path = tmp_path / "m.matrix"
         write_constant_matrix(path, 9)

@@ -13,6 +13,7 @@ from robinson import (
     DissimilaritySpace,
     InputError,
     OrientedTree,
+    SizeGuardError,
     Tree,
     check_compatible,
     count_xi,
@@ -20,6 +21,7 @@ from robinson import (
 from robinson.errors import PreconditionError
 from robinson.oracle import brute_optimal_orientation
 from robinson.uniform_orient import (
+    PREMISE_MAX_POINTS,
     _subset_sum,
     find_centroid,
     has_central_vertex,
@@ -87,6 +89,13 @@ class TestVerifyAllPathsRobinson:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             verify_all_paths_robinson(constant_space(3), Tree(2, [(0, 1)]))
+
+    def test_size_guard_when_called_directly(self):
+        n = PREMISE_MAX_POINTS + 1
+        path = Tree(n, [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(SizeGuardError, match=f"premise verification of {n} points exceeds "
+                           f"the limit of {PREMISE_MAX_POINTS}"):
+            verify_all_paths_robinson(constant_space(n), path)
 
 
 class TestFindCentroid:
