@@ -5,7 +5,7 @@ orientations of trees, stars and paths, hardness-reduction instance
 generators, and brute-force oracles for desk-scale certification.
 """
 
-from .c1p import BinaryMatrix, PQTree, enumerate_frontiers, frontier, test_c1p
+from .c1p import BinaryMatrix, PQTree, frontier, test_c1p
 from .core import (
     DissimilaritySpace,
     OrientedTree,
@@ -16,7 +16,6 @@ from .core import (
     is_one_way_order,
     is_two_way_order,
     maximal_directed_paths,
-    reachability,
 )
 from .errors import InputError, PreconditionError, SizeGuardError
 from .oracle import Segment, segment
@@ -44,7 +43,6 @@ from .stars import (
 )
 from .uniform_orient import (
     find_centroid,
-    has_central_vertex,
     optimal_partition_of_neighbors,
     orient_all_robinson,
     verify_all_paths_robinson,
@@ -75,11 +73,9 @@ __all__ = [
     "build_subset_instance",
     "check_compatible",
     "count_xi",
-    "enumerate_frontiers",
     "eta_table",
     "find_centroid",
     "frontier",
-    "has_central_vertex",
     "is_one_way_order",
     "is_two_way_order",
     "maximal_directed_paths",
@@ -90,7 +86,6 @@ __all__ = [
     "parse_dimacs",
     "path_orientation",
     "petals",
-    "reachability",
     "recognize_two_way",
     "segment",
     "test_c1p",

@@ -17,19 +17,15 @@ set of frontiers is exactly the set of valid row orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError
 
 LEAF = "leaf"
 P = "P"
 Q = "Q"
 
 _EMPTY, _FULL, _PARTIAL = 0, 1, 2
-
-# size guard of enumerate_frontiers: a P-node over k leaves has k! frontiers
-FRONTIER_MAX_LEAVES = 8
 
 
 class _Node:
@@ -112,26 +108,6 @@ def frontier(t: PQTree) -> tuple[int, ...]:
         else:
             stack.extend(reversed(node.children))
     return tuple(out)
-
-
-def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:
-    """All frontiers of the tree (testing aid; guarded against blow-up)."""
-    if t.num_leaves > FRONTIER_MAX_LEAVES:
-        raise SizeGuardError(f"frontier enumeration limited to {FRONTIER_MAX_LEAVES} leaves")
-
-    def orders(node: _Node) -> Iterator[tuple[int, ...]]:
-        if node.kind == LEAF:
-            yield (node.row,)
-            return
-        if node.kind == P:
-            arrangements: Iterable[Sequence[_Node]] = permutations(node.children)
-        else:
-            arrangements = (node.children, list(reversed(node.children)))
-        for arr in arrangements:
-            for parts in product(*(tuple(orders(c)) for c in arr)):
-                yield tuple(x for part in parts for x in part)
-
-    return set(orders(t._root))
 
 
 def _states(children: list[_Node], hits: list[int]) -> list[int]:

@@ -7,7 +7,7 @@ Graph file: like a tree file but with any number of edge lines.  Binary
 matrix file: first line `rows cols`, then 0/1 rows.  Lines starting with
 `#` are ignored everywhere.
 
-Rows after the header go through numpy's text parser: decimal and exponent
+Headers and rows go through numpy's text parser: decimal and exponent
 reals, and `nan` and `inf` (the space refuses them as non-finite); integers
 in ASCII digits that fit in 64 bits.  Python-only `1_0` and non-ASCII digits
 fail.
@@ -37,13 +37,18 @@ def _content_lines(path: str | Path) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
 
 
-def _parse_header_int(lines: list[str], what: str) -> int:
+def _parse_header(lines: list[str], what: str, count: int = 1) -> list[int]:
+    """The ``count`` integers of the header line, parsed like the rows."""
     if not lines:
         raise InputError(f"{what}: empty file")
     try:
-        return int(lines[0])
-    except ValueError as exc:
-        raise InputError(f"{what}: bad header line {lines[0]!r}") from exc
+        ints = np.loadtxt(lines[:1], np.int64, comments=None, ndmin=2)[0].tolist()
+    except ValueError:
+        ints = []
+    if len(ints) != count:
+        bad = "bad header line" if count == 1 else "bad header"
+        raise InputError(f"{what}: {bad} {lines[0]!r}")
+    return ints
 
 
 def _parse_rows(lines: list[str], dtype: type, width: int, what: str, edges=False) -> np.ndarray:
@@ -72,7 +77,7 @@ def _parse_rows(lines: list[str], dtype: type, width: int, what: str, edges=Fals
 
 def read_matrix(path: str | Path) -> DissimilaritySpace:
     lines = _content_lines(path)
-    n = _parse_header_int(lines, "matrix file")
+    [n] = _parse_header(lines, "matrix file")
     if len(lines) != n + 1:
         raise InputError(f"matrix file: expected {n} rows, found {len(lines) - 1}")
     return DissimilaritySpace(_parse_rows(lines[1:], float, n, "matrix file"))
@@ -88,7 +93,7 @@ def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
 def _read_pairs(path: str | Path, what: str) -> tuple[int, list[list[int]]]:
     """Header n and the `u v` lines of a tree, oriented-tree or graph file."""
     lines = _content_lines(path)
-    n = _parse_header_int(lines, what)
+    [n] = _parse_header(lines, what)
     return n, _parse_rows(lines[1:], np.int64, 2, what, edges=True).tolist()
 
 
@@ -117,12 +122,7 @@ def read_graph(path: str | Path) -> SimpleGraph:
 
 def read_binary_matrix(path: str | Path) -> BinaryMatrix:
     lines = _content_lines(path)
-    if not lines:
-        raise InputError("binary matrix file: empty file")
-    try:
-        rows, cols = map(int, lines[0].split())  # a wrong count fails to unpack
-    except ValueError as exc:
-        raise InputError(f"binary matrix file: bad header {lines[0]!r}") from exc
+    rows, cols = _parse_header(lines, "binary matrix file", 2)
     if len(lines) != rows + 1:
         raise InputError(f"binary matrix file: expected {rows} rows, found {len(lines) - 1}")
     return BinaryMatrix(_parse_rows(lines[1:], np.int64, cols, "binary matrix file").tolist())

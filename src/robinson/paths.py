@@ -5,9 +5,6 @@ vertices and alternate in direction; each run must be Robinson and adds
 C(run length, 2) directed paths.  eta[i] is the farthest position a run
 starting at i can reach while staying Robinson, and the optimum is a 1-D
 DP over run ends bounded by eta.
-
-The run-table scan is 1-based so it mirrors its pseudocode line by line;
-the public types are 0-based.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree
+from .core import DissimilaritySpace, OrientedTree, Tree, _first_break
 from .errors import InputError, PreconditionError
 
 
@@ -39,43 +36,21 @@ def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> None:
         raise InputError("order must be a permutation of all vertices")
 
 
-def _eta_compressed_1b(d, x: Sequence[int], n: int) -> list[tuple[int, int]]:
-    # x[1..n] is the path; emits (i_k, j_k) with eta constant on [i_k, i_{k+1})
-    res: list[tuple[int, int]] = []
-    i = 1
-    j = 3
-    while j <= n:
-        k = j
-        while (
-            k > i
-            and d[x[j], x[k]] <= d[x[j], x[k - 1]]
-            and d[x[j - 1], x[k - 1]] <= d[x[j], x[k - 1]]
-        ):
-            k -= 1
-        if k > i:
-            res.append((i, j - 1))
-            i = k
-        j += 1
-    res.append((i, n))
-    return res
-
-
 def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
-    """Run-length table of the farthest Robinson run from each start.  O(n^2)."""
+    """Run-length table of the farthest Robinson run from each start.  O(n^2).
+
+    A run i..j is Robinson iff i+1..j is and no pair (i, c), c <= j, breaks
+    (core._first_break), so eta[i] = min(eta[i+1], first break - 1), from
+    eta[n-1] = n-1.
+    """
     _check_path_inputs(space, order)
+    rows = space.d.tolist()  # list reads; numpy would box a scalar per read
     n = len(order)
-    x = [0] + list(order)  # 1-based view
-    compressed = _eta_compressed_1b(space.d, x, n)
-    expanded = [0] * max(n - 1, 0)
-    for idx, (i_k, j_k) in enumerate(compressed):
-        nxt = compressed[idx + 1][0] if idx + 1 < len(compressed) else n
-        for pos in range(i_k, nxt):
-            if pos <= n - 1:
-                expanded[pos - 1] = j_k
-    return EtaTable(
-        tuple((i - 1, j - 1) for i, j in compressed),
-        tuple(e - 1 for e in expanded),
-    )
+    eta = [n - 1] * n
+    for i in range(n - 2, -1, -1):
+        eta[i] = min(eta[i + 1], _first_break(rows, order, i) - 1)
+    compressed = [(i, e) for i, e in enumerate(eta) if i == 0 or e != eta[i - 1]]
+    return EtaTable(tuple(compressed), tuple(eta[:-1]))
 
 
 def path_orientation(

@@ -17,54 +17,38 @@ from typing import Optional, Sequence
 from .core import DissimilaritySpace, OrientedTree, Tree, reach_sizes
 from .errors import InputError, PreconditionError, SizeGuardError
 
-# the premise check refuses larger trees: it is O(n^3), some 6 s at 600
-# points on a monotone path
+# the premise check refuses larger trees: its time is O(n^2), under 1 s at
+# 1,000 points, but it copies d into n^2 Python floats, some 30 MB there
 PREMISE_MAX_POINTS = 1000
-
-
-def _guard_premise(n: int) -> None:
-    if n > PREMISE_MAX_POINTS:
-        raise SizeGuardError(
-            f"premise verification of {n} points exceeds the limit of {PREMISE_MAX_POINTS}"
-        )
 
 
 def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     """True iff for every ordered pair (u, v) the u-to-v tree path is
-    one-way-Robinson.  O(n^3): a DFS per root with O(length) checks per
-    extension (monotone row/column growth is equivalent to the triple
-    condition once the prefix is known good).  Refused above
-    PREMISE_MAX_POINTS points."""
+    one-way-Robinson.  Refused above PREMISE_MAX_POINTS points.
+
+    By the lemma of core._first_break it suffices that no pair (a, b) two
+    or more edges apart breaks an adjacent inequality on its own path:
+    d(a,b) >= d(a,p) and d(a,b) >= d(h,b), with h the first hop from a and
+    p the vertex before b.  A DFS from every root a carries b, p and the
+    row of h, so each ordered pair is checked once: O(n^2).
+    """
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
-    _guard_premise(t.n)
+    if t.n > PREMISE_MAX_POINTS:
+        raise SizeGuardError(
+            f"premise verification of {t.n} points exceeds the limit of {PREMISE_MAX_POINTS}"
+        )
     d = space.d.tolist()  # list reads; numpy would box a scalar per read
     adj = t.adjacency
-    for root in range(t.n):
-        path = [root]
-        iters = [iter(adj[root])]
-        parents = [-1]
-        while iters:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                iters.pop()
-                path.pop()
-                parents.pop()
-                continue
-            if nxt == parents[-1]:
-                continue
-            k = len(path)
-            tail = path[k - 1]
-            for j in range(1, k):
-                if d[path[j]][nxt] > d[path[j - 1]][nxt]:
-                    return False
-            for i in range(k - 1):
-                row = d[path[i]]
-                if row[tail] > row[nxt]:
-                    return False
-            path.append(nxt)
-            parents.append(tail)
-            iters.append(iter(adj[nxt]))
+    for a in range(t.n):
+        row = d[a]
+        stack = [(b, h, d[h]) for h in adj[a] for b in adj[h] if b != a]
+        while stack:
+            b, p, hrow = stack.pop()
+            val = row[b]
+            if val < row[p] or val < hrow[b]:
+                return False
+            stack.extend((c, b, hrow) for c in adj[b] if c != p)
     return True
 
 
@@ -162,7 +146,7 @@ def orient_all_robinson(
 
     Every component of T minus the centroid is oriented uniformly toward or
     away from it, the In side chosen by the subset-sum over their sizes.  The premise is
-    the caller's promise unless verify_premise is set (it costs O(n^3), more
+    the caller's promise unless verify_premise is set (it costs O(n^2), more
     than the algorithm, and is refused above PREMISE_MAX_POINTS points);
     space may be None when no verification is requested.
     """
@@ -171,7 +155,6 @@ def orient_all_robinson(
     if verify_premise:
         if space is None:
             raise InputError("premise verification needs the dissimilarity space")
-        _guard_premise(t.n)
         if not verify_all_paths_robinson(space, t):
             raise PreconditionError("some tree path is not Robinson for d")
     n = t.n
@@ -199,15 +182,3 @@ def orient_all_robinson(
     # each vertex reaches or is reached by its ancestors (depth of them, as
     # sum(size) - n counts), and every In vertex reaches every Out vertex
     return OrientedTree(t, arcs), sum(size) - n + k * (n - 1 - k)
-
-
-def has_central_vertex(ot: OrientedTree) -> Optional[int]:
-    """A vertex with a directed path to or from every other vertex, if one
-    exists (lowest index wins)."""
-    n = ot.tree.n
-    reach_out = reach_sizes(n, ot.out_adjacency)
-    reach_in = reach_sizes(n, ot.in_adjacency)
-    for x in range(n):
-        if reach_out[x] + reach_in[x] == n - 1:
-            return x
-    return None

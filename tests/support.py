@@ -7,15 +7,27 @@ exhaustive scans) so they stay independent of the library's faster paths.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
 
-from robinson import BinaryMatrix, DissimilaritySpace, InputError, PQTree, Tree
+from robinson import (
+    BinaryMatrix,
+    DissimilaritySpace,
+    InputError,
+    OrientedTree,
+    PQTree,
+    SizeGuardError,
+    Tree,
+)
 from robinson.c1p import LEAF, P, Q, reduce_columns
-from robinson.fileio import _content_lines, _parse_header_int
+from robinson.core import reach_sizes
+from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
+
+# size guard of enumerate_frontiers: a P-node over k leaves has k! frontiers
+FRONTIER_MAX_LEAVES = 8
 
 
 def triple_one_way(d, order) -> bool:
@@ -186,6 +198,31 @@ def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     return tuple(reversed(seq))
 
 
+def reachability(ot: OrientedTree) -> set[tuple[int, int]]:
+    """All ordered pairs (u, v), u != v, with a directed path u -> ... -> v."""
+    pairs: set[tuple[int, int]] = set()
+    out = ot.out_adjacency
+    for u in range(ot.tree.n):
+        stack = list(out[u])
+        while stack:
+            v = stack.pop()
+            pairs.add((u, v))
+            stack.extend(out[v])
+    return pairs
+
+
+def has_central_vertex(ot: OrientedTree) -> int | None:
+    """A vertex with a directed path to or from every other vertex, if one
+    exists (lowest index wins)."""
+    n = ot.tree.n
+    reach_out = reach_sizes(n, ot.out_adjacency)
+    reach_in = reach_sizes(n, ot.in_adjacency)
+    for x in range(n):
+        if reach_out[x] + reach_in[x] == n - 1:
+            return x
+    return None
+
+
 def path_tree(order) -> Tree:
     n = len(order)
     return Tree(n, [(order[i], order[i + 1]) for i in range(n - 1)])
@@ -239,6 +276,26 @@ def full_segment_reduction(space: DissimilaritySpace):
     return reduce_columns(n, (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols))
 
 
+def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:
+    """All frontiers of the tree, guarded against blow-up."""
+    if t.num_leaves > FRONTIER_MAX_LEAVES:
+        raise SizeGuardError(f"frontier enumeration limited to {FRONTIER_MAX_LEAVES} leaves")
+
+    def orders(node):
+        if node.kind == LEAF:
+            yield (node.row,)
+            return
+        if node.kind == P:
+            arrangements = permutations(node.children)
+        else:
+            arrangements = (node.children, list(reversed(node.children)))
+        for arr in arrangements:
+            for parts in product(*(tuple(orders(c)) for c in arr)):
+                yield tuple(x for part in parts for x in part)
+
+    return set(orders(t._root))
+
+
 def pq_to_nested(t: PQTree):
     """Nested-tuple view of a PQ-tree, e.g. ('P', (0, ('Q', (1, 2, 3))))."""
 
@@ -273,7 +330,7 @@ def reference_read_matrix(path: str | Path) -> DissimilaritySpace:
     """The matrix reader with one Python float() per token: the reference
     for the values `fileio.read_matrix` parses in one pass."""
     lines = _content_lines(path)
-    n = _parse_header_int(lines, "matrix file")
+    [n] = _parse_header(lines, "matrix file")
     if len(lines) != n + 1:
         raise InputError(f"matrix file: expected {n} rows, found {len(lines) - 1}")
     rows = []

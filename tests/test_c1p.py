@@ -19,13 +19,13 @@ from robinson import (
     DissimilaritySpace,
     InputError,
     SizeGuardError,
-    enumerate_frontiers,
     frontier,
     test_c1p,
 )
 from robinson.c1p import reduce_columns
 from robinson.oracle import brute_c1p
 from support import (
+    enumerate_frontiers,
     full_segment_reduction,
     matrix_from_columns,
     planted_c1p_matrix,

@@ -118,8 +118,10 @@ class TestExitCodes:
         ("2\n0 1\n", "matrix file: expected 2 rows, found 1"),
         ("2\n0 1\n1 0\n0 0\n", "matrix file: expected 2 rows, found 3"),
         ("2\n0 1_0\n1 0\n", "matrix file: bad row '0 1_0'"),  # float() would read 10
+        ("\u0661\n0\n", "matrix file: bad header line '\u0661'"),  # int() would read 1
+        ("1_0\n" + ("0 " * 9 + "0\n") * 10, "matrix file: bad header line '1_0'"),
     ], ids=["header-0", "ragged", "short-first-row", "bad-token", "too-few-rows",
-            "too-many-rows", "underscore"])
+            "too-many-rows", "underscore", "header-arabic-digit", "header-underscore"])
     def test_malformed_matrix_message(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.matrix"
         path.write_text(text)
@@ -153,13 +155,14 @@ class TestExitCodes:
 
     def test_verify_premise_size_guard(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("premise verified")
+            raise AssertionError("tree paths walked")
 
-        monkeypatch.setattr(robinson.uniform_orient, "verify_all_paths_robinson", refuse)
         n = robinson.uniform_orient.PREMISE_MAX_POINTS + 1
         mpath, tpath = tmp_path / "m.matrix", tmp_path / "t.tree"
         write_constant_matrix(mpath, n)
         write_tree(Tree(n, [(i, i + 1) for i in range(n - 1)]), tpath)
+        # the guard inside verify_all_paths_robinson fires before any walk
+        monkeypatch.setattr(Tree, "adjacency", property(refuse))
         code, out, err = run(capsys, "orient", "tree", str(mpath), str(tpath), "--verify-premise")
         assert code == 3
         assert out == ""
@@ -169,7 +172,8 @@ class TestExitCodes:
         code, _, err = run(capsys, "recognize", "/nonexistent/m.matrix")
         assert code == 2
 
-    @pytest.mark.parametrize("text", ["3 x\n1 1 0\n", "2 2\n1 x\n0 1\n"])
+    # int() would read the Arabic-Indic header as 2 rows
+    @pytest.mark.parametrize("text", ["3 x\n1 1 0\n", "2 2\n1 x\n0 1\n", "\u0662 2\n1 1\n0 1\n"])
     def test_malformed_binary_matrix(self, tmp_path, capsys, text):
         path = tmp_path / "b.matrix"
         path.write_text(text)

@@ -21,9 +21,15 @@ from robinson import (
     is_one_way_order,
     is_two_way_order,
     maximal_directed_paths,
-    reachability,
 )
-from support import random_space, random_tree, tree_path, triple_one_way, triple_two_way
+from support import (
+    random_space,
+    random_tree,
+    reachability,
+    tree_path,
+    triple_one_way,
+    triple_two_way,
+)
 
 
 def constant_space(n, value=1.0):
@@ -272,3 +278,17 @@ def test_reachability_antisymmetric_transitive():
 def test_every_exported_name_resolves():
     for name in robinson.__all__:
         assert hasattr(robinson, name), name
+    # the public surface, pinned: a name added or dropped shows in this diff
+    assert sorted(robinson.__all__) == [
+        "BinaryMatrix", "Cnf3", "DissimilaritySpace", "EtaTable", "InputError",
+        "OrientationInstance", "OrientedTree", "PQTree", "PetalPartition",
+        "PreconditionError", "Segment", "SimpleGraph", "SizeGuardError",
+        "StarAssignment", "SubsetInstance", "Tree", "VertexOrder", "assign_star",
+        "best_star_center", "build_assignment_instance", "build_orientation_instance",
+        "build_subset_instance", "check_compatible", "count_xi", "eta_table",
+        "find_centroid", "frontier", "is_one_way_order", "is_two_way_order",
+        "maximal_directed_paths", "optimal_partition_of_neighbors",
+        "orient_all_robinson", "orient_star", "orientation_kappa", "parse_dimacs",
+        "path_orientation", "petals", "recognize_two_way", "segment", "test_c1p",
+        "witness_orientation",
+    ]

@@ -84,6 +84,18 @@ class TestEtaTable:
                 assert e >= i + 1
             assert et.compressed[0][0] == 0
             assert et.compressed[-1][1] == n - 1
+            # compressed is the run-length encoding of expanded: nonempty
+            # runs that cover it, each value differing from the one before
+            ends = [i for i, _ in et.compressed[1:]] + [n - 1]
+            for (i, j), end in zip(et.compressed, ends):
+                assert end > i and et.expanded[i:end] == (j,) * (end - i)
+            for (_, a), (_, b) in zip(et.compressed, et.compressed[1:]):
+                assert a != b
+
+    def test_one_point(self):
+        et = eta_table(DissimilaritySpace([[0.0]]), [0])
+        assert et.compressed == ((0, 0),)
+        assert et.expanded == ()
 
 
 class TestPathOrientation:

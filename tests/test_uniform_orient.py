@@ -24,19 +24,21 @@ from robinson.uniform_orient import (
     PREMISE_MAX_POINTS,
     _subset_sum,
     find_centroid,
-    has_central_vertex,
     optimal_partition_of_neighbors,
     orient_all_robinson,
     verify_all_paths_robinson,
 )
 from support import (
     component_sizes,
+    has_central_vertex,
     path_tree,
     planted_symmetric_robinson,
     random_tree,
+    reachability,
     star_tree,
     tree_from_pruefer,
     tree_path,
+    triple_one_way,
 )
 
 
@@ -66,25 +68,29 @@ class TestVerifyAllPathsRobinson:
             assert verify_all_paths_robinson(space, path_tree(order))
 
     def test_matches_naive_pairwise_check(self):
-        from robinson import is_one_way_order
-
+        # the literal triple definition on every tree path, independent of
+        # the adjacent-inequality kernel both library checks are built on
         rng = random.Random(5)
         agree = 0
-        for _ in range(60):
-            n = rng.randrange(3, 8)
+        for _ in range(200):
+            n = rng.randrange(3, 10)
             t = random_tree(rng, n)
-            d = np.array([[rng.choice([1.0, 2.0]) for _ in range(n)] for _ in range(n)])
-            np.fill_diagonal(d, 0.0)
-            space = DissimilaritySpace(d)
+            # entries in {1, 2, 3}: the tree distance capped at 3 makes every
+            # path Robinson, and up to two random entries may then break it
+            d = np.array([[min(3.0, len(tree_path(t, u, v)) - 1) for v in range(n)]
+                          for u in range(n)])
+            for _ in range(rng.randrange(3)):
+                u, v = rng.sample(range(n), 2)
+                d[u, v] = rng.choice([1.0, 2.0, 3.0])
             naive = all(
-                is_one_way_order(space, tree_path(t, u, v))
+                triple_one_way(d, tree_path(t, u, v))
                 for u in range(n)
                 for v in range(n)
                 if u != v
             )
-            assert verify_all_paths_robinson(space, t) == naive
+            assert verify_all_paths_robinson(DissimilaritySpace(d), t) == naive
             agree += naive
-        assert 0 < agree < 60  # both outcomes exercised
+        assert 0 < agree < 200  # both outcomes exercised
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -301,8 +307,6 @@ class TestHasCentralVertex:
         assert has_central_vertex(ot) == 0
 
     def test_agrees_with_reachability(self):
-        from robinson import reachability
-
         rng = random.Random(23)
         for _ in range(40):
             t = random_tree(rng, rng.randrange(2, 10))
