@@ -15,7 +15,6 @@ from .core import (
     count_xi,
     is_one_way_order,
     is_two_way_order,
-    maximal_directed_paths,
 )
 from .errors import InputError, PreconditionError, SizeGuardError
 from .oracle import Segment, segment
@@ -78,7 +77,6 @@ __all__ = [
     "frontier",
     "is_one_way_order",
     "is_two_way_order",
-    "maximal_directed_paths",
     "optimal_partition_of_neighbors",
     "orient_all_robinson",
     "orient_star",

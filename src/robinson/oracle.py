@@ -118,6 +118,8 @@ def brute_robinson_subset(
     """
     from .recognition import recognize_two_way
 
+    if max_subsets < 0:
+        raise InputError(f"budget {max_subsets} must be nonnegative")
     n = space.n
     if not 0 <= kappa <= n:
         raise InputError(f"kappa={kappa} out of range for n={n}")

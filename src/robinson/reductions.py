@@ -150,9 +150,6 @@ class OrientationInstance:
     def leaves_per_family(self) -> int:
         return 7 * len(self.cnf.clauses) + 2
 
-    def x_index(self, i: int) -> int:
-        return i
-
     def plus_index(self, i: int, k: int) -> int:
         L = self.leaves_per_family
         return 1 + self.cnf.num_vars + (i - 1) * 2 * L + (k - 1)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, reach_sizes
+from .core import DissimilaritySpace, OrientedTree, Tree, _paths_ok, reach_sizes
 from .errors import InputError, PreconditionError, SizeGuardError
 
-# the premise check refuses larger trees: its time is O(n^2), under 1 s at
-# 1,000 points, but it copies d into n^2 Python floats, some 30 MB there
+# the premise check refuses larger trees: its walk, shared with
+# core.check_compatible, is O(n^2), about 0.2 s at 1,000 points on a
+# monotone path, but it copies d into n^2 Python floats, some 30 MB there
 PREMISE_MAX_POINTS = 1000
 
 
@@ -26,11 +27,8 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     """True iff for every ordered pair (u, v) the u-to-v tree path is
     one-way-Robinson.  Refused above PREMISE_MAX_POINTS points.
 
-    By the lemma of core._first_break it suffices that no pair (a, b) two
-    or more edges apart breaks an adjacent inequality on its own path:
-    d(a,b) >= d(a,p) and d(a,b) >= d(h,b), with h the first hop from a and
-    p the vertex before b.  A DFS from every root a carries b, p and the
-    row of h, so each ordered pair is checked once: O(n^2).
+    The same per-root walk as core.check_compatible, over the undirected
+    adjacency: each ordered pair is tested once, O(n^2).
     """
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
@@ -38,18 +36,7 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
         raise SizeGuardError(
             f"premise verification of {t.n} points exceeds the limit of {PREMISE_MAX_POINTS}"
         )
-    d = space.d.tolist()  # list reads; numpy would box a scalar per read
-    adj = t.adjacency
-    for a in range(t.n):
-        row = d[a]
-        stack = [(b, h, d[h]) for h in adj[a] for b in adj[h] if b != a]
-        while stack:
-            b, p, hrow = stack.pop()
-            val = row[b]
-            if val < row[p] or val < hrow[b]:
-                return False
-            stack.extend((c, b, hrow) for c in adj[b] if c != p)
-    return True
+    return _paths_ok(space.d.tolist(), t.adjacency)
 
 
 def _sizes_rooted_at(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:

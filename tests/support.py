@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from robinson import (
     Tree,
 )
 from robinson.c1p import LEAF, P, Q, reduce_columns
-from robinson.core import reach_sizes
+from robinson.core import _one_way_ok, reach_sizes
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
 
@@ -209,6 +210,42 @@ def reachability(ot: OrientedTree) -> set[tuple[int, int]]:
             pairs.add((u, v))
             stack.extend(out[v])
     return pairs
+
+
+def maximal_directed_paths(ot: OrientedTree) -> Iterator[tuple[int, ...]]:
+    """Yield every maximal directed path (as a vertex sequence).
+
+    A directed path is maximal iff its start has in-degree 0 and its end has
+    out-degree 0; in a tree any in/out arc at an endpoint extends the path.
+    """
+    out = ot.out_adjacency
+    inc = ot.in_adjacency
+    for s in range(ot.tree.n):
+        if inc[s] or not out[s]:
+            continue
+        path = [s]
+        iters = [iter(out[s])]
+        while iters:
+            nxt = next(iters[-1], None)
+            if nxt is None:
+                iters.pop()
+                path.pop()
+                continue
+            path.append(nxt)
+            if out[nxt]:
+                iters.append(iter(out[nxt]))
+            else:
+                yield tuple(path)
+                path.pop()
+
+
+def maximal_path_check(space: DissimilaritySpace, ot: OrientedTree) -> bool:
+    """The sequence test on every maximal directed path: check_compatible's
+    walk before the per-root pair kernel, kept as a reference.  Subpaths of
+    a one-way-Robinson path are one-way-Robinson, so the maximal paths
+    suffice, but a pair is tested again for every maximal path holding it."""
+    rows = space.d.tolist()
+    return all(_one_way_ok(rows, p) for p in maximal_directed_paths(ot))
 
 
 def has_central_vertex(ot: OrientedTree) -> int | None:

@@ -141,6 +141,13 @@ class TestExitCodes:
         assert code == 3
         assert "refused" in err
 
+    def test_negative_subset_budget(self, tmp_path, capsys):
+        # malformed input, not a refusal: exit 2, not 3
+        path = tmp_path / "m.matrix"
+        write_matrix(CHAIN3, path)
+        argv = ["oracle", "subset", str(path), "--kappa", "2", "--budget", "-1"]
+        assert run(capsys, *argv) == (2, "", "error: budget -1 must be nonnegative\n")
+
     def test_recognition_size_guard(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("segment columns built")

@@ -20,9 +20,11 @@ from robinson import (
     count_xi,
     is_one_way_order,
     is_two_way_order,
-    maximal_directed_paths,
 )
+from robinson.core import _paths_ok
 from support import (
+    maximal_directed_paths,
+    maximal_path_check,
     random_space,
     random_tree,
     reachability,
@@ -204,6 +206,41 @@ class TestCheckCompatible:
                 for b in range(a + 2, len(p) + 1):
                     assert is_one_way_order(space, p[a:b])
 
+    def test_matches_maximal_paths_and_triple_definition(self):
+        # two references: the sequence test on every maximal directed path,
+        # and the literal triple definition on every directed path
+        rng = random.Random(29)
+        value_sets = [[1.0, 2.0], [1.0, 2.0, 3.0], None]
+        yes = 0
+        for case in range(3000):
+            n = rng.randrange(1, 11)
+            space = random_space(rng, n, values=value_sets[case % 3], symmetric=case % 2 == 0)
+            t = random_tree(rng, n)
+            ot = OrientedTree(t, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges])
+            literal = all(triple_one_way(space.d, tree_path(t, u, v)) for u, v in reachability(ot))
+            answer = check_compatible(space, ot)
+            assert answer == maximal_path_check(space, ot) == literal
+            yes += answer
+        assert 500 < yes < 2500  # both answers exercised
+
+    @pytest.mark.parametrize("inward", [False, True], ids=["broom", "in-broom"])
+    def test_reads_each_pair_at_most_three_times(self, inward):
+        # a broom, a 200-vertex path with 200 leaves on its end, makes the
+        # maximal-path walk test a handle pair once per leaf
+        n, k = 400, 200
+        edges = [(i, i + 1) for i in range(k - 1)] + [(k - 1, j) for j in range(k, n)]
+        ot = OrientedTree(Tree(n, edges), [(v, u) for u, v in edges] if inward else edges)
+        reads = [0]
+
+        class CountingList(list):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return super().__getitem__(i)
+
+        rows = CountingList(CountingList(r) for r in constant_space(n).d.tolist())
+        assert _paths_ok(rows, ot.out_adjacency)
+        assert reads[0] <= 3 * count_xi(ot)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -287,7 +324,7 @@ def test_every_exported_name_resolves():
         "best_star_center", "build_assignment_instance", "build_orientation_instance",
         "build_subset_instance", "check_compatible", "count_xi", "eta_table",
         "find_centroid", "frontier", "is_one_way_order", "is_two_way_order",
-        "maximal_directed_paths", "optimal_partition_of_neighbors",
+        "optimal_partition_of_neighbors",
         "orient_all_robinson", "orient_star", "orientation_kappa", "parse_dimacs",
         "path_orientation", "petals", "recognize_two_way", "segment", "test_c1p",
         "witness_orientation",

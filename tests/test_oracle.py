@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from robinson import BinaryMatrix, DissimilaritySpace, SizeGuardError, Tree
+from robinson import BinaryMatrix, DissimilaritySpace, InputError, SizeGuardError, Tree
 from robinson.oracle import (
     brute_c1p,
     brute_optimal_orientation,
@@ -95,3 +95,10 @@ class TestBruteRobinsonSubset:
         space = random_space(rng, 40, values=[1.0, 2.0], symmetric=True)
         with pytest.raises(SizeGuardError):
             brute_robinson_subset(space, 20, max_subsets=1000)
+
+    def test_negative_budget_is_malformed(self):
+        # checked before kappa's range and before the size guard
+        space = random_space(random.Random(7), 3, values=[1.0], symmetric=True)
+        for kappa in (2, 9):
+            with pytest.raises(InputError, match="budget -1 must be nonnegative"):
+                brute_robinson_subset(space, kappa, max_subsets=-1)

@@ -16,7 +16,6 @@ from robinson import (
     check_compatible,
     count_xi,
     is_two_way_order,
-    maximal_directed_paths,
     recognize_two_way,
 )
 from robinson.oracle import brute_robinson_subset
@@ -30,7 +29,7 @@ from robinson.reductions import (
     parse_dimacs,
     witness_orientation,
 )
-from support import random_space
+from support import maximal_directed_paths, random_space
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf3:
