@@ -154,13 +154,6 @@ class OrientedTree:
             out[u].append(v)
         return tuple(tuple(a) for a in out)
 
-    @cached_property
-    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.tree.n)]
-        for u, v in self.arcs:
-            inc[v].append(u)
-        return tuple(tuple(a) for a in inc)
-
 
 def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
     if len(order) > space.n:
@@ -174,36 +167,37 @@ def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
         seen.add(v)
 
 
-def _first_break(rows: np.ndarray | list[list[float]], seq: Sequence[int], i: int) -> int:
-    """The least j >= i+2 whose pair (i, j) breaks an adjacent inequality,
-    d(s_i,s_j) < d(s_i,s_{j-1}) or d(s_i,s_j) < d(s_{i+1},s_j), or len(seq)
-    if no pair starting at i does.  Needs i+1 < len(seq); ``rows`` is d as
-    nested lists (fast reads) or an array.
+def _breaks(D: np.ndarray) -> np.ndarray:
+    """The boolean (i, k) mask of the pairs of D, a matrix already permuted
+    into an order s, that break an adjacent inequality: k >= i+2 and
+    D[i,k] < D[i,k-1] or D[i,k] < D[i+1,k].  O(n^2).
 
     The lemma behind every one-way test: s is one-way-Robinson, that is
     d(s_a,s_c) >= max(d(s_a,s_b), d(s_b,s_c)) for all a < b < c, iff no
-    pair (a, c) with c >= a+2 breaks an adjacent inequality.  Chaining them
-    along row s_a and column s_c gives the triple condition.  So s[i..j] is
-    one-way-Robinson iff s[i+1..j] is and j < _first_break(rows, s, i).
+    pair breaks.  Chaining the adjacent inequalities along row s_a and
+    column s_c gives the triple condition.  So s[i..j] is one-way-Robinson
+    iff s[i+1..j] is and no pair (i, k), k <= j, breaks; and s is
+    two-way-Robinson iff neither D nor D.T has a breaking pair.
     """
-    row, nxt = rows[seq[i]], rows[seq[i + 1]]
-    prev = row[seq[i + 1]]
-    for j in range(i + 2, len(seq)):
-        pj = seq[j]
-        val = row[pj]
-        if val < prev or val < nxt[pj]:
-            return j
-        prev = val
-    return len(seq)
+    b = np.zeros(D.shape, dtype=bool)
+    b[:, 1:] = D[:, 1:] < D[:, :-1]
+    b[:-1] |= D[:-1] < D[1:]
+    return np.triu(b, 2)
 
 
 def _one_way_ok(rows: np.ndarray | list[list[float]], order: Sequence[int]) -> bool:
-    k = len(order)
-    # a plain loop: on 4 points, as in oracle.brute_two_way, all() over a
-    # generator made the whole check about 1.4x slower
-    for i in range(k - 2):
-        if _first_break(rows, order, i) < k:
-            return False
+    """True iff no pair of ``order`` breaks (the lemma of _breaks); ``rows``
+    is d as nested lists (fast reads) or an array.  A scalar scan, not
+    _breaks: oracle.brute_two_way calls it on 4-point orders, where numpy's
+    per-call cost would dominate."""
+    for i in range(len(order) - 2):
+        row, nxt = rows[order[i]], rows[order[i + 1]]
+        prev = row[order[i + 1]]
+        for pk in order[i + 2 :]:
+            val = row[pk]
+            if val < prev or val < nxt[pk]:
+                return False
+            prev = val
     return True
 
 
@@ -212,7 +206,7 @@ def _paths_ok(rows: list[list[float]], adj: Sequence[Sequence[int]]) -> bool:
     one-way-Robinson.  ``rows`` is d as nested lists; ``adj`` is a tree's
     adjacency or an oriented tree's out-adjacency.
 
-    By the lemma of _first_break, a path a, h, ..., p, b with two or more
+    By the lemma of _breaks, a path a, h, ..., p, b with two or more
     edges is one-way-Robinson iff its subpaths are and d(a,b) >= d(a,p)
     and d(a,b) >= d(h,b).  So a walk from every root a, carrying its first
     hop h and the last value d(a,p), tests each ordered pair once.

@@ -3,8 +3,9 @@
 A compatible orientation cuts the path into runs that share their end
 vertices and alternate in direction; each run must be Robinson and adds
 C(run length, 2) directed paths.  eta[i] is the farthest position a run
-starting at i can reach while staying Robinson, and the optimum is a 1-D
-DP over run ends bounded by eta.
+starting at i can reach while staying Robinson, read off the breaking
+pairs of d in path order (core._breaks) in one numpy pass, and the optimum
+is a 1-D DP over run ends bounded by eta.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, _first_break
+import numpy as np
+
+from .core import DissimilaritySpace, OrientedTree, Tree, _breaks
 from .errors import InputError, PreconditionError
 
 
@@ -39,16 +42,15 @@ def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> None:
 def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
     """Run-length table of the farthest Robinson run from each start.  O(n^2).
 
-    A run i..j is Robinson iff i+1..j is and no pair (i, c), c <= j, breaks
-    (core._first_break), so eta[i] = min(eta[i+1], first break - 1), from
-    eta[n-1] = n-1.
+    A run i..j is Robinson iff i+1..j is and no pair (i, k), k <= j, breaks
+    (core._breaks), so eta[i] = min(eta[i+1], first break in row i - 1),
+    from eta[n-1] = n-1; a row with no break has its first break at n.
     """
     _check_path_inputs(space, order)
-    rows = space.d.tolist()  # list reads; numpy would box a scalar per read
     n = len(order)
-    eta = [n - 1] * n
-    for i in range(n - 2, -1, -1):
-        eta[i] = min(eta[i + 1], _first_break(rows, order, i) - 1)
+    b = _breaks(space.d[np.ix_(order, order)])
+    first = np.where(b.any(axis=1), b.argmax(axis=1), n)
+    eta = np.minimum.accumulate((first - 1)[::-1])[::-1].tolist()
     compressed = [(i, e) for i, e in enumerate(eta) if i == 0 or e != eta[i - 1]]
     return EtaTable(tuple(compressed), tuple(eta[:-1]))
 

@@ -212,6 +212,14 @@ def reachability(ot: OrientedTree) -> set[tuple[int, int]]:
     return pairs
 
 
+def in_adjacency(ot: OrientedTree) -> list[list[int]]:
+    """Per vertex, the tails of its incoming arcs."""
+    inc: list[list[int]] = [[] for _ in range(ot.tree.n)]
+    for u, v in ot.arcs:
+        inc[v].append(u)
+    return inc
+
+
 def maximal_directed_paths(ot: OrientedTree) -> Iterator[tuple[int, ...]]:
     """Yield every maximal directed path (as a vertex sequence).
 
@@ -219,7 +227,7 @@ def maximal_directed_paths(ot: OrientedTree) -> Iterator[tuple[int, ...]]:
     out-degree 0; in a tree any in/out arc at an endpoint extends the path.
     """
     out = ot.out_adjacency
-    inc = ot.in_adjacency
+    inc = in_adjacency(ot)
     for s in range(ot.tree.n):
         if inc[s] or not out[s]:
             continue
@@ -253,7 +261,7 @@ def has_central_vertex(ot: OrientedTree) -> int | None:
     exists (lowest index wins)."""
     n = ot.tree.n
     reach_out = reach_sizes(n, ot.out_adjacency)
-    reach_in = reach_sizes(n, ot.in_adjacency)
+    reach_in = reach_sizes(n, in_adjacency(ot))
     for x in range(n):
         if reach_out[x] + reach_in[x] == n - 1:
             return x

@@ -153,12 +153,13 @@ class TestExitCodes:
             raise AssertionError("segment columns built")
 
         monkeypatch.setattr(robinson.recognition, "_segment_columns", refuse)
+        n = robinson.recognition.MAX_POINTS + 1
         path = tmp_path / "m.matrix"
-        write_constant_matrix(path, robinson.recognition.MAX_POINTS + 1)
+        write_constant_matrix(path, n)
         code, out, err = run(capsys, "recognize", str(path))
         assert code == 3
         assert out == ""
-        assert "refused: instance of 601 points exceeds the limit of 600" in err
+        assert f"refused: instance of {n} points exceeds the limit of {n - 1}" in err
 
     def test_verify_premise_size_guard(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):

@@ -17,8 +17,15 @@ from robinson import (
 )
 from robinson.oracle import brute_two_way
 import robinson.recognition
+from robinson.core import _breaks
 from robinson.recognition import _segment_columns
-from support import full_segment_reduction, membership_tensor, planted_two_way_space, random_space
+from support import (
+    full_segment_reduction,
+    membership_tensor,
+    planted_two_way_space,
+    random_space,
+    triple_one_way,
+)
 
 CHAIN3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 ASYM3 = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [0.5, 1, 0]])
@@ -106,35 +113,64 @@ def kernel_spaces():
 class TestSegmentColumns:
     """The kernel that builds recognition's x < y segment columns."""
 
-    @pytest.mark.parametrize("permuted", [False, True])
-    def test_matches_scalar_segment(self, permuted):
-        rng = random.Random(61)
+    def test_matches_scalar_segment(self):
         for space in kernel_spaces():
-            n, d = space.n, space.d
-            order = rng.sample(range(n), n) if permuted else list(range(n))
-            axis = (d.take(order, 1), d.T.take(order, 1)) if permuted else None
+            n = space.n
             x, y = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-            cols = _segment_columns(d, x, y, axis)
+            cols = _segment_columns(space.d, x, y)
             assert cols.shape == (len(x), n)
             for row, a, b in zip(cols, x, y):
-                want = segment(space, int(a), int(b)).members
-                assert {order[i] for i in np.flatnonzero(row)} == want
+                assert set(np.flatnonzero(row)) == segment(space, int(a), int(b)).members
 
-    def test_planted_no_builds_one_round_of_columns(self, monkeypatch):
+    def test_planted_no_builds_one_round_of_columns(self, monkeypatch, reductions):
         # the obstruction sits on the first three points, so the first 4n
-        # columns already have no consecutive-ones order
+        # columns already have no consecutive-ones order; columns are built
+        # in blocks as the reducer reads them, and none past the block of
+        # the failing column is built
         built = []
 
-        def counted(d, x, y, axis=None):
+        def counted(d, x, y):
             built.append(len(x))
-            return _segment_columns(d, x, y, axis)
+            return _segment_columns(d, x, y)
 
         monkeypatch.setattr(robinson.recognition, "_segment_columns", counted)
         n = 300
         d = np.array(planted_two_way_space(random.Random(67), n)[0].d)
         d[:3, :3] = ASYM3.d
         assert recognize_two_way(DissimilaritySpace(d)) is None
-        assert built == [4 * n]
+        assert len(reductions) == 1
+        assert sum(built[:-1]) < len(reductions[0]) <= sum(built) <= 4 * n
+
+
+class TestBreaks:
+    """core._breaks, the candidate check of recognition, on seeded orders."""
+
+    @staticmethod
+    def permuted(rng):
+        for space in kernel_spaces():
+            order = rng.sample(range(space.n), space.n)
+            yield space, order, space.d[np.ix_(order, order)]
+
+    def test_no_break_iff_one_way(self):
+        rng = random.Random(71)
+        yes = 0
+        for space, order, D in self.permuted(rng):
+            one_way = triple_one_way(space.d, order)
+            assert (not _breaks(D).any()) == one_way
+            assert (not _breaks(D.T).any()) == triple_one_way(space.d, order[::-1])
+            yes += one_way
+        assert 10 < yes < 60
+
+    def test_breaking_pair_names_violated_segment(self):
+        rng = random.Random(73)
+        pairs = 0
+        for space, order, D in self.permuted(rng):
+            for i, k in zip(*np.nonzero(_breaks(D) | _breaks(D.T))):
+                pos = {order.index(t) for t in segment(space, order[i], order[k]).members}
+                assert {i, k} <= pos and not {i + 1, k - 1} <= pos
+                assert max(pos) - min(pos) + 1 > len(pos)
+                pairs += 1
+        assert pairs > 400
 
 
 def rounded_planted(rng, n):
