@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio
-from .core import Tree, check_compatible, count_xi
+from .core import Tree, check_compatible, count_xi, failing_pair
 from .errors import InputError, SizeGuardError
 from .oracle import (
     brute_c1p,
@@ -49,6 +49,7 @@ _TEXT_FORMS = {
     "petals": lambda ps: " | ".join(map(_ints, ps)),
     "subset": _ints,
     "kappa": str,
+    "pair": _ints,
 }
 
 
@@ -162,9 +163,16 @@ def _cmd_oracle_subset(args):
 
 
 def _cmd_check(args):
+    """YES, or NO with the first failing pair (a, b) of core.failing_pair:
+    the smallest root a, then b first in a's walk.  The a-to-b path is a
+    directed path that is not one-way-Robinson."""
     space = fileio.read_matrix(args.matrix)
     ot = fileio.read_oriented_tree(args.oriented_tree)
-    return {"answer": "YES" if check_compatible(space, ot) else "NO", "xi": count_xi(ot)}
+    if check_compatible(space, ot):
+        return {"answer": "YES", "xi": count_xi(ot)}
+    # check_compatible stays the one call a YES makes (a tracer wraps it);
+    # a NO walks again to name its pair
+    return {"answer": "NO", "xi": count_xi(ot), "pair": list(failing_pair(space, ot))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=_cmd_oracle_subset)
 
-    p = sub.add_parser("check", help="compatibility check plus path count")
+    p = sub.add_parser("check", help="compatibility check plus path count; a NO names a failing pair")
     p.add_argument("matrix")
     p.add_argument("oriented_tree")
     p.set_defaults(func=_cmd_check)

@@ -90,15 +90,16 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
         raise SizeGuardError(f"instance of {n} points exceeds the limit of {MAX_POINTS}")
     d = space.d
     r = np.arange(n)
-    xs, ys = np.nonzero(r[:, None] < r)  # x < y, row-major (x, y)
     k = 4 * n
-    x, y = xs[:k], ys[:k]  # the pairs whose columns are reduced
+    # the first k pairs x < y in row-major (x, y) order lie in the first nine
+    # rows, which hold 9n - 45 >= 4n pairs when n >= 9 and all of them below
+    x, y = (a[:k] for a in np.nonzero(r[:9, None] < r))  # the pairs whose columns are reduced
     while True:
         tree = reduce_columns(n, _column_bitsets(d, x, y))
         if tree is None:
             return None
         order = frontier(tree)
-        if len(x) == len(xs):
+        if len(x) == n * (n - 1) // 2:
             return order, tree
         s = np.array(order)
         D = d[np.ix_(s, s)]

@@ -72,8 +72,8 @@ GOLDEN = {
     ),
     'check-no': (
         1,
-        'answer: NO\nxi: 3\n',
-        '{"answer": "NO", "xi": 3}\n',
+        'answer: NO\nxi: 3\npair: 0 2\n',
+        '{"answer": "NO", "xi": 3, "pair": [0, 2]}\n',
     ),
     'check-yes': (
         0,

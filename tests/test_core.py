@@ -21,7 +21,7 @@ from robinson import (
     is_one_way_order,
     is_two_way_order,
 )
-from robinson.core import _paths_ok
+from robinson.core import RUN_MIN, _first_failing_pair, _out_runs, failing_pair
 from support import (
     maximal_directed_paths,
     maximal_path_check,
@@ -226,7 +226,9 @@ class TestCheckCompatible:
     @pytest.mark.parametrize("inward", [False, True], ids=["broom", "in-broom"])
     def test_reads_each_pair_at_most_three_times(self, inward):
         # a broom, a 200-vertex path with 200 leaves on its end, makes the
-        # maximal-path walk test a handle pair once per leaf
+        # maximal-path walk test a handle pair once per leaf.  The handle is
+        # one run, read in numpy slices, and the leaves one pair at a time:
+        # a read is a scalar read or one entry of a slice
         n, k = 400, 200
         edges = [(i, i + 1) for i in range(k - 1)] + [(k - 1, j) for j in range(k, n)]
         ot = OrientedTree(Tree(n, edges), [(v, u) for u, v in edges] if inward else edges)
@@ -237,9 +239,220 @@ class TestCheckCompatible:
                 reads[0] += 1
                 return super().__getitem__(i)
 
-        rows = CountingList(CountingList(r) for r in constant_space(n).d.tolist())
-        assert _paths_ok(rows, ot.out_adjacency)
-        assert reads[0] <= 3 * count_xi(ot)
+        class CountingArray(np.ndarray):
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                if self.ndim == 2:
+                    return out  # a row, counted as it is read
+                reads[0] += np.size(key)
+                return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+            def tolist(self):
+                return [CountingList(r) for r in np.asarray(self).tolist()]
+
+        d = constant_space(n).d.view(CountingArray)
+        adj = ot.out_adjacency
+        assert _first_failing_pair(d, adj, _out_runs(adj)) is None
+        assert 0 < reads[0] <= 3 * count_xi(ot)
+
+
+def long_run_shape(rng, kind):
+    """Arcs of a tree whose chains are longer than RUN_MIN, before labels
+    are shuffled: a path, a broom (a handle with leaves on its end) out or
+    in, a caterpillar (a spine with in- and out-leaves far apart) or a
+    spider with in- and out-legs."""
+
+    def leg():
+        return rng.randrange(RUN_MIN + 1, 2 * RUN_MIN + 10)
+
+    if kind == "path":
+        n = rng.randrange(RUN_MIN + 2, 300)
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if kind in ("out-broom", "in-broom"):
+        k, leaves = leg(), rng.randrange(2, 60)
+        arcs = [(i, i + 1) for i in range(k - 1)] + [(k - 1, k + j) for j in range(leaves)]
+        return k + leaves, arcs if kind == "out-broom" else [(v, u) for u, v in arcs]
+    if kind == "caterpillar":
+        spine = rng.randrange(3 * RUN_MIN, 250)
+        arcs = [(i, i + 1) for i in range(spine - 1)]
+        n = spine
+        for s in range(rng.randrange(RUN_MIN), spine, RUN_MIN + 5):
+            for _ in range(rng.randrange(1, 4)):
+                arcs.append((s, n) if rng.random() < 0.6 else (n, s))
+                n += 1
+        return n, arcs
+    legs = [leg() for _ in range(rng.randrange(3, 6))]
+    arcs, n = [], 1
+    for i, k in enumerate(legs):
+        chain = [0] + list(range(n, n + k))
+        n += k
+        inward = i == 0 or (i > 2 and rng.random() < 0.5)  # one in-leg, two out-legs at least
+        pairs = list(zip(chain, chain[1:]))
+        arcs += [(v, u) for u, v in pairs] if inward else pairs
+    return n, arcs
+
+
+def path_metric(rng, t, symmetric, arcs=None):
+    """Sums of random edge weights along tree paths, each direction its own
+    unless symmetric, put through a floor division to make ties: every path
+    is one-way-Robinson.  With ``arcs``, pairs joined by no directed path
+    either way get random values instead."""
+    w = {}
+    for u, v in t.edges:
+        w[u, v] = rng.randrange(4)
+        w[v, u] = w[u, v] if symmetric else rng.randrange(4)
+    d = np.zeros((t.n, t.n))
+    for a in range(t.n):
+        seen, queue = {a}, [a]
+        for x in queue:
+            for y in t.adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    d[a, y] = d[a, x] + w[x, y]
+                    queue.append(y)
+    d //= rng.choice((1, 2, 3))
+    if arcs is not None:
+        reach = reachability(OrientedTree(t, arcs))
+        for u in range(t.n):
+            for v in range(u + 1, t.n):
+                if (u, v) not in reach and (v, u) not in reach:
+                    d[u, v] = rng.randrange(3 * t.n)
+                    d[v, u] = d[u, v] if symmetric else rng.randrange(3 * t.n)
+    return d
+
+
+def plant(rng, d, t, out, symmetric, undirected=False):
+    """Lower one d(a,b), on a path a, h, ..., p, b following ``out``,
+    below either d(a,p) or d(h,b) but not both, so the pair (a, b) alone
+    fails (and (b, a) too when symmetric and the path runs both ways).  b
+    is drawn from one place along a chain: its first or second vertex (a
+    walk pops the first and may slice from the second), its middle, its
+    last vertex, or just past it at a branch; a from all vertices
+    before p, often the farthest.  ``out`` is an oriented tree's
+    out-adjacency, or a tree's adjacency when undirected.  Returns (a, b),
+    the place and the test, or None."""
+    outdeg = [len(nb) - undirected for nb in out]  # ways on from a vertex entered
+    into = [[] for _ in out]
+    for u, nb in enumerate(out):
+        for v in nb:
+            into[v].append(u)
+    places = {
+        "first": lambda p, b: outdeg[p] != 1 and outdeg[b] == 1,
+        "second": lambda p, b: outdeg[p] == 1 and all(outdeg[q] != 1 for q in into[p] if q != b),
+        "middle": lambda p, b: outdeg[p] == 1 and outdeg[b] == 1,
+        "last": lambda p, b: outdeg[p] == 1 and outdeg[b] != 1,
+        "past": lambda p, b: outdeg[p] > 1 and any(outdeg[q] == 1 for q in into[p] if q != b),
+    }
+    tries = [(place, test) for place in sorted(places) for test in ("d(a,p)", "d(h,b)")]
+    rng.shuffle(tries)  # the first place and test that the tree allows
+    for place, test in tries:
+        cands = [(p, b) for b in range(t.n) for p in into[b] if places[place](p, b)]
+        for p, b in rng.sample(cands, min(len(cands), 20)):
+            before, seen = [p], {p, b}
+            for x in before:
+                for q in into[x]:
+                    if q not in seen:
+                        seen.add(q)
+                        before.append(q)
+            before.pop(0)
+            far = before[-1:] if rng.random() < 0.5 else []  # a long walk to p
+            for a in far + rng.sample(before, min(len(before), 10)):
+                h = tree_path(t, a, b)[1]
+                low, keep = (d[a, p] - 1, d[h, b]) if test == "d(a,p)" else (d[h, b] - 1, d[a, p])
+                if low < max(keep, 0):
+                    continue  # the other test would fail too
+                d[a, b] = low
+                if symmetric:
+                    d[b, a] = low
+                return (a, b), place, test
+    return None
+
+
+class TestLongRuns:
+    """Trees whose chains reach the numpy slices, against the references,
+    with YES spaces and spaces with one planted failing pair."""
+
+    KINDS = ("path", "out-broom", "in-broom", "caterpillar", "spider")
+
+    def check_no_pair(self, d, t, pair, directed_arcs=None):
+        a, b = pair
+        path = tree_path(t, a, b)
+        if directed_arcs is not None:
+            assert all(arc in directed_arcs for arc in zip(path, path[1:]))
+        assert not triple_one_way(d.tolist(), path)
+
+    def test_oriented_trees_match_references(self):
+        rng = random.Random(12)
+        counts = {"yes": 0, "no": 0}
+        for case in range(150):
+            n, arcs = long_run_shape(rng, self.KINDS[case % 5])
+            labels = list(range(n))
+            rng.shuffle(labels)
+            arcs = [(labels[u], labels[v]) for u, v in arcs]
+            t = Tree(n, arcs)
+            ot = OrientedTree(t, arcs)
+            symmetric = case % 3 == 0
+            d = path_metric(rng, t, symmetric, arcs)
+            planted = plant(rng, d, t, ot.out_adjacency, symmetric) if case % 2 else None
+            if planted is not None:
+                planted, place, test = planted
+                counts[place, test] = counts.get((place, test), 0) + 1
+            space = DissimilaritySpace(d)
+            pair = failing_pair(space, ot)
+            assert check_compatible(space, ot) == (pair is None) == maximal_path_check(space, ot)
+            if n <= 60:  # every triple of a directed path lies on a maximal one
+                rows = d.tolist()
+                literal = all(triple_one_way(rows, p) for p in maximal_directed_paths(ot))
+                assert literal == (pair is None)
+            assert pair == planted
+            if pair is not None:
+                self.check_no_pair(d, t, pair, set(ot.arcs))
+            counts["no" if pair else "yes"] += 1
+        assert counts["yes"] > 50 and len(counts) == 12  # every place, either test
+
+    def test_trees_match_references(self):
+        # every tree path lies on a path leading away from a leaf, so the
+        # premise holds iff each orientation away from a leaf is compatible
+        rng = random.Random(21)
+        counts = {"yes": 0, "no": 0}
+        for case in range(100):
+            n, arcs = long_run_shape(rng, self.KINDS[case % 5])
+            if n > 200:
+                continue
+            labels = list(range(n))
+            rng.shuffle(labels)
+            t = Tree(n, [(labels[u], labels[v]) for u, v in arcs])
+            symmetric = case % 3 == 0
+            d = path_metric(rng, t, symmetric)
+            planted = plant(rng, d, t, t.adjacency, symmetric, True) if case % 2 else None
+            planted = planted and planted[0]
+            space = DissimilaritySpace(d)
+            pair = failing_pair(space, t)
+            leaves = [u for u in range(n) if len(t.adjacency[u]) == 1]
+            assert (pair is None) == all(maximal_path_check(space, away_from(t, u)) for u in leaves)
+            if n <= 60:  # every tree path lies on a leaf-to-leaf one
+                rows = d.tolist()
+                literal = all(triple_one_way(rows, tree_path(t, u, v)) for u in leaves for v in leaves if u != v)
+                assert literal == (pair is None)
+            if planted is not None and symmetric:
+                planted = min(planted, planted[::-1])
+            assert pair == planted
+            if pair is not None:
+                self.check_no_pair(d, t, pair)
+            counts["no" if pair else "yes"] += 1
+        assert min(counts.values()) > 10
+
+
+def away_from(t, root):
+    """t with every edge pointing away from root."""
+    arcs, seen, queue = [], {root}, [root]
+    for x in queue:
+        for y in t.adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                arcs.append((x, y))
+                queue.append(y)
+    return OrientedTree(t, arcs)
 
 
 @settings(max_examples=200, deadline=None)
