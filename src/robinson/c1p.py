@@ -239,18 +239,23 @@ def _reduce(root: _Node, s: int) -> Optional[_Node]:
     return root
 
 
-def reduce_columns(rows: int, columns: Iterable[int]) -> Optional[PQTree]:
-    """Reduce a universal tree by the given columns, in order.
+def universal_tree(rows: int) -> PQTree:
+    """The tree of every order of `rows` rows: one P-node over the leaves."""
+    return PQTree(_make_p([_Node(LEAF, row=r) for r in range(rows)]), rows)
+
+
+def reduce_columns(tree: PQTree, columns: Iterable[int]) -> Optional[PQTree]:
+    """Reduce the tree by the given columns, in order; the tree is consumed.
 
     A column is an int bitset whose bit r is set iff row r holds a 1.
-    Trivial columns (at most one 1 or all rows) and duplicates impose
-    nothing new and are skipped.  Columns are read lazily, so on a NO
-    answer none past the first failing column is ever built.  The shared
-    core behind test_c1p and the segment-matrix recognizer.
+    Trivial columns (at most one 1 or all rows) and repeats within the call
+    impose nothing new and are skipped.  Columns are read lazily, so on a
+    NO answer none past the first failing column is ever built.  Reducing
+    by A and then by B, which repeats no column of A, is reducing by A + B
+    in one call, so columns added in batches are each reduced once.  The
+    shared core behind test_c1p and the segment-matrix recognizer.
     """
-    if rows == 1:
-        return PQTree(_Node(LEAF, row=0), 1)
-    root = _Node(P, [_Node(LEAF, row=r) for r in range(rows)])
+    root = tree._root
     full = root.mask
     seen: set[int] = set()
     for s in columns:
@@ -261,19 +266,16 @@ def reduce_columns(rows: int, columns: Iterable[int]) -> Optional[PQTree]:
         if result is None:
             return None
         root = result
-    return PQTree(root, rows)
+    return PQTree(root, tree.num_leaves)
 
 
 def test_c1p(m: BinaryMatrix) -> Optional[PQTree]:
     """PQ-tree of all row orders making every column's ones consecutive,
-    or None if no such order exists.
-
-    Columns with at most one 1, full columns, and duplicate columns impose
-    nothing new and are filtered first.
-    """
+    or None if no such order exists.  Columns with at most one 1, full
+    columns and duplicates impose nothing new and are skipped."""
     # column j as an int whose bit r is row r's entry: the reversed 0/1 digits
     columns = (int("".join(map(str, reversed(col))), 2) for col in zip(*m.data))
-    return reduce_columns(m.rows, columns)
+    return reduce_columns(universal_tree(m.rows), columns)
 
 
 test_c1p.__test__ = False  # keep pytest from collecting the library function

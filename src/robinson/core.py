@@ -59,10 +59,11 @@ class DissimilaritySpace:
         return bool(np.array_equal(self.d, self.d.T))
 
     def restrict(self, vertices: Sequence[int]) -> "DissimilaritySpace":
-        """Sub-space induced by the given (distinct) vertices, relabeled 0..k-1."""
+        """Sub-space induced by one or more distinct vertices, relabeled 0..k-1."""
         idx = list(vertices)
-        if len(set(idx)) != len(idx):
-            raise InputError("restriction vertices must be distinct")
+        if not idx:
+            raise InputError("restriction needs at least one vertex")
+        _check_order(self, idx)
         return DissimilaritySpace(self.d[np.ix_(idx, idx)], validate=False)
 
 

@@ -6,10 +6,10 @@ membership columns.  Recognition is verify-and-refine (lazy constraint
 generation): the C1P reducer gets only a few of the x < y columns, as int
 bitsets, and the order it proposes is checked in O(n^2) by its breaking
 pairs (core._breaks).  Each breaking pair names a segment column that the
-order violates; those columns are added and the reduction repeated until
-the order has no breaking pair or the reducer fails.  No step holds more
-than O(n^2) entries at once, and a NO found in the first round costs
-O(n^2).
+order violates; those columns are reduced onto the same PQ-tree until the
+order has no breaking pair or the reducer fails, so a call builds and
+reduces each column at most once.  No step holds more than O(n^2) entries
+at once, and a NO found in the first round costs O(n^2).
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .c1p import PQTree, frontier, reduce_columns
+from .c1p import PQTree, frontier, reduce_columns, universal_tree
 from .core import DissimilaritySpace, VertexOrder, _breaks
 from .errors import SizeGuardError
 
-# recognition refuses larger spaces: each round reduces every column added
-# so far, and rounds are bounded only by the number of columns.  At the
-# limit a planted YES takes about 1.7 s, nearly all in the C1P reducer, and
-# `robinson recognize` peaks at about 110 MB RSS (2-core Xeon, Python 3.11)
+# recognition refuses larger spaces: a call builds and reduces each column
+# at most once, but rounds are bounded only by the number of columns.  At
+# the limit a planted YES takes about 1.7 s in one round, nearly all in the
+# C1P reducer, a rounded planted space 2.4 s in 4, and `robinson recognize`
+# peaks at about 110 MB RSS (2-core Xeon, Python 3.11)
 MAX_POINTS = 1500
 
 
@@ -69,12 +70,12 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     pairs (i, j), in d and in d.T (core._breaks).  Both s_i and s_j lie in
     S(s_i, s_j), and the break puts s_{i+1} or s_{j-1}, which lies between
     them, outside it; so the column of (s_i, s_j) is violated.  The first
-    4n of them in row-major (i, j) order join the reduced columns, which
-    are rebuilt from their (x, y) pairs and reduced again from a fresh
-    tree.  The loop ends when s has no breaking pair or every column has
-    been reduced.  A column already reduced is an interval of s, so each
-    round adds at least one new column.  For n <= 9 the first round takes
-    every column, so those spaces are decided in one round with no check.
+    4n of them in row-major (i, j) order have their columns built and
+    reduced onto the same tree.  A column already reduced is an interval
+    of s, so each of these is new: a call builds and reduces each column
+    at most once, and the loop ends when s has no breaking pair or the
+    reducer fails.  For n <= 9 the first round takes every column, so
+    those spaces are decided in one round with no check.
 
     Both answers are exact.  YES: s has no breaking pair, so it is
     two-way-Robinson.  NO: some subset of the segments has no
@@ -93,13 +94,14 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     k = 4 * n
     # the first k pairs x < y in row-major (x, y) order lie in the first nine
     # rows, which hold 9n - 45 >= 4n pairs when n >= 9 and all of them below
-    x, y = (a[:k] for a in np.nonzero(r[:9, None] < r))  # the pairs whose columns are reduced
+    x, y = (a[:k] for a in np.nonzero(r[:9, None] < r))  # the pairs of this round's columns
+    tree = universal_tree(n)
     while True:
-        tree = reduce_columns(n, _column_bitsets(d, x, y))
+        tree = reduce_columns(tree, _column_bitsets(d, x, y))
         if tree is None:
             return None
         order = frontier(tree)
-        if len(x) == n * (n - 1) // 2:
+        if len(x) == n * (n - 1) // 2:  # round 1 at n <= 9; later rounds take <= 4n pairs
             return order, tree
         s = np.array(order)
         D = d[np.ix_(s, s)]
@@ -107,4 +109,4 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
         if not len(i):
             return order, tree
         a, b = s[i[:k]], s[j[:k]]
-        x, y = np.concatenate((x, np.minimum(a, b))), np.concatenate((y, np.maximum(a, b)))
+        x, y = np.minimum(a, b), np.maximum(a, b)

@@ -49,6 +49,24 @@ def _guard_points(total: int) -> None:
         raise SizeGuardError(f"instance of {total} points exceeds the limit of {MAX_POINTS}")
 
 
+# The vertex layouts, one formula each for the builders and the instances'
+# index methods: n variables (graph vertices), L leaves per family, m edges
+def _plus_index(n: int, L: int, i: int, k: int) -> int:
+    return 1 + n + (i - 1) * 2 * L + (k - 1)  # the minus-leaf is L places on
+
+
+def _z_index(n: int, L: int, j: int, l: int) -> int:
+    return 1 + n + 2 * n * L + (j - 1) * 7 + (l - 1)
+
+
+def _x_index(m: int, i: int, k: int) -> int:
+    return (i - 1) * (m + 1) + (k - 1)
+
+
+def _y_index(n: int, m: int, j: int) -> int:
+    return n * (m + 1) + (j - 1)
+
+
 @dataclass(frozen=True)
 class Cnf3:
     """A 3-CNF: clauses are triples of signed 1-based variable indices."""
@@ -151,15 +169,13 @@ class OrientationInstance:
         return 7 * len(self.cnf.clauses) + 2
 
     def plus_index(self, i: int, k: int) -> int:
-        L = self.leaves_per_family
-        return 1 + self.cnf.num_vars + (i - 1) * 2 * L + (k - 1)
+        return _plus_index(self.cnf.num_vars, self.leaves_per_family, i, k)
 
     def minus_index(self, i: int, k: int) -> int:
         return self.plus_index(i, k) + self.leaves_per_family
 
     def z_index(self, j: int, l: int) -> int:
-        n, L = self.cnf.num_vars, self.leaves_per_family
-        return 1 + n + 2 * n * L + (j - 1) * 7 + (l - 1)
+        return _z_index(self.cnf.num_vars, self.leaves_per_family, j, l)
 
 
 def orientation_kappa(num_vars: int, num_clauses: int) -> int:
@@ -191,46 +207,29 @@ def build_orientation_instance(cnf: Cnf3) -> OrientationInstance:
         if len({abs(lit) for lit in c}) != 3:
             raise InputError(f"clause {c} repeats a variable")
     L = 7 * m + 2
-    total = 1 + n + 2 * n * L + 7 * m
+    total = _z_index(n, L, m + 1, 1)  # one past the last clause vertex
     _guard_points(total)
+    d = np.full((total, total), 2.0)
+    d[1 : n + 1, 1 : n + 1] = 1.0
     roles: dict[int, str] = {0: "y"}
     edges: list[tuple[int, int]] = [(0, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         roles[i] = f"x{i}"
-    plus0 = lambda i: 1 + n + (i - 1) * 2 * L  # noqa: E731
-    for i in range(1, n + 1):
-        base = plus0(i)
-        for k in range(1, L + 1):
-            roles[base + k - 1] = f"x{i}+{k}"
-            roles[base + L + k - 1] = f"x{i}-{k}"
-            edges.append((i, base + k - 1))
-        for k in range(1, L + 1):
-            edges.append((i, base + L + k - 1))
-    zbase = 1 + n + 2 * n * L
-    for j in range(1, m + 1):
-        for l in range(1, 8):
-            idx = zbase + (j - 1) * 7 + (l - 1)
-            roles[idx] = f"z{j}_{l}"
-            edges.append((0, idx))
-    tree = Tree(total, edges)
-
-    d = np.full((total, total), 2.0)
-    xs = np.arange(1, n + 1)
-    d[np.ix_(xs, xs)] = 1.0
-    for i in range(1, n + 1):
-        plus = np.arange(plus0(i), plus0(i) + L)
-        minus = plus + L
-        d[np.ix_(plus, plus)] = 1.0
-        d[np.ix_(minus, minus)] = 1.0
+        plus = _plus_index(n, L, i, 1)
+        for sign, start in (("+", plus), ("-", plus + L)):
+            d[start : start + L, start : start + L] = 1.0
+            edges.extend((i, v) for v in range(start, start + L))
+            roles.update((start + k - 1, f"x{i}{sign}{k}") for k in range(1, L + 1))
     for j, clause in enumerate(cnf.clauses, start=1):
         for l, pattern in enumerate(_LITERAL_TRUTH_PATTERNS, start=1):
-            z = zbase + (j - 1) * 7 + (l - 1)
+            z = _z_index(n, L, j, l)
+            roles[z] = f"z{j}_{l}"
+            edges.append((0, z))
             for lit, lit_true in zip(clause, pattern):
-                i = abs(lit)
-                base = plus0(i) + (L if _family_sign(lit, lit_true) else 0)
-                fam = np.arange(base, base + L)
-                d[z, fam] = 1.0
-                d[fam, z] = 1.0
+                fam = _plus_index(n, L, abs(lit), 1) + (L if _family_sign(lit, lit_true) else 0)
+                d[z, fam : fam + L] = 1.0
+                d[fam : fam + L, z] = 1.0
+    tree = Tree(total, edges)
     np.fill_diagonal(d, 0.0)
     return OrientationInstance(
         tree, DissimilaritySpace(d), orientation_kappa(n, m), roles, cnf
@@ -279,12 +278,10 @@ class SubsetInstance:
     graph: SimpleGraph
 
     def x_index(self, i: int, k: int) -> int:
-        m = len(self.graph.edges)
-        return (i - 1) * (m + 1) + (k - 1)
+        return _x_index(len(self.graph.edges), i, k)
 
     def y_index(self, j: int) -> int:
-        m = len(self.graph.edges)
-        return self.graph.n * (m + 1) + (j - 1)
+        return _y_index(self.graph.n, len(self.graph.edges), j)
 
 
 def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
@@ -294,20 +291,18 @@ def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
     n, m = g.n, len(g.edges)
     if m < 1:
         raise InputError("graph needs at least one edge")
-    total = n * (m + 1) + m
+    total = _y_index(n, m, m + 1)  # one past the last edge point
     _guard_points(total)
     d = np.full((total, total), 2.0)
     roles: dict[int, str] = {}
-    for i in range(1, n + 1):
-        block = np.arange((i - 1) * (m + 1), i * (m + 1))
-        d[np.ix_(block, block)] = 1.0
-        for k in range(1, m + 2):
-            roles[(i - 1) * (m + 1) + k - 1] = f"x{i}^{k}"
+    blocks = [slice(_x_index(m, i, 1), _x_index(m, i + 1, 1)) for i in range(1, n + 1)]
+    for i, block in enumerate(blocks, start=1):
+        d[block, block] = 1.0
+        roles.update((_x_index(m, i, k), f"x{i}^{k}") for k in range(1, m + 2))
     for j, (u, v) in enumerate(g.edges, start=1):
-        y = n * (m + 1) + (j - 1)
+        y = _y_index(n, m, j)
         roles[y] = f"y{j}"
-        for w in (u, v):
-            block = np.arange(w * (m + 1), (w + 1) * (m + 1))
+        for block in (blocks[u], blocks[v]):  # the clones of graph vertices u + 1, v + 1
             d[y, block] = 1.0
             d[block, y] = 1.0
     np.fill_diagonal(d, 0.0)

@@ -22,7 +22,7 @@ from robinson import (
     SizeGuardError,
     Tree,
 )
-from robinson.c1p import LEAF, P, Q, reduce_columns
+from robinson.c1p import LEAF, P, Q, reduce_columns, universal_tree
 from robinson.core import _one_way_ok, reach_sizes
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
@@ -318,7 +318,8 @@ def full_segment_reduction(space: DissimilaritySpace):
     set is exactly the set of compatible orders."""
     n = space.n
     cols = membership_tensor(space)[~np.tri(n, dtype=bool)]
-    return reduce_columns(n, (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols))
+    columns = (sum(1 << int(t) for t in np.flatnonzero(c)) for c in cols)
+    return reduce_columns(universal_tree(n), columns)
 
 
 def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from robinson import (
     frontier,
     test_c1p,
 )
-from robinson.c1p import reduce_columns
+from robinson.c1p import reduce_columns, universal_tree
 from robinson.oracle import brute_c1p
 from support import (
     enumerate_frontiers,
@@ -94,7 +94,7 @@ def consecutive(position, column) -> bool:
 
 class TestBitsetColumns:
     def test_int_columns(self):
-        t = reduce_columns(4, [0b0011, 0b0110, 0b1100])
+        t = reduce_columns(universal_tree(4), [0b0011, 0b0110, 0b1100])
         assert t is not None
         assert frontier(t) in ((0, 1, 2, 3), (3, 2, 1, 0))
 
@@ -106,8 +106,21 @@ class TestBitsetColumns:
                 read.append(s)
                 yield s
 
-        assert reduce_columns(3, columns()) is None
+        assert reduce_columns(universal_tree(3), columns()) is None
         assert read == [0b011, 0b110, 0b101]
+
+    def test_batches_compose(self):
+        # reducing A, then the result by B, is the reduction of A + B
+        rng = random.Random(19)
+        for _ in range(200):
+            rows = rng.randrange(1, 12)
+            m = planted_c1p_matrix(rng, rows, rng.randrange(1, 15))
+            cols = list(dict.fromkeys(sum(b << r for r, b in enumerate(c)) for c in zip(*m.data)))
+            cut = rng.randrange(len(cols) + 1)
+            split = reduce_columns(reduce_columns(universal_tree(rows), cols[:cut]), cols[cut:])
+            whole = reduce_columns(universal_tree(rows), cols)
+            assert repr(split._root) == repr(whole._root)
+            assert frontier(split) == frontier(whole)
 
     def test_deep_partial_chain_leaves_recursion_limit_alone(self, monkeypatch):
         # nested prefixes {0..j} build a k-deep chain of P-nodes; {0, k+1}

@@ -69,6 +69,19 @@ class TestConstruction:
         assert sym({(0, 1): 1}, 2).is_symmetric
         assert not ASYM3.is_symmetric
 
+    def test_restrict_relabels(self):
+        sub = ASYM3.restrict([2, 0])
+        assert sub.d.tolist() == [[0.0, 0.5], [2.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[-1, 0], [5], [], [1, 1]],
+        ids=["negative", "out-of-range", "empty", "repeated"],
+    )
+    def test_restrict_rejects_bad_vertices(self, vertices):
+        with pytest.raises(InputError):
+            ASYM3.restrict(vertices)
+
     def test_tree_invariants(self):
         with pytest.raises(InputError):
             Tree(3, [(0, 1)])  # too few edges

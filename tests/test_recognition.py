@@ -17,8 +17,9 @@ from robinson import (
 )
 from robinson.oracle import brute_two_way
 import robinson.recognition
+from robinson.c1p import frontier, reduce_columns, universal_tree
 from robinson.core import _breaks
-from robinson.recognition import _segment_columns
+from robinson.recognition import _column_bitsets, _segment_columns
 from support import (
     full_segment_reduction,
     membership_tensor,
@@ -289,16 +290,23 @@ REFINE_FAMILIES = (
 )
 
 
+def refine_spaces():
+    """540 seeded spaces with n 10-40, cycling through REFINE_FAMILIES."""
+    rng = random.Random(47)
+    for trial in range(540):
+        n = rng.randrange(10, 41)
+        yield trial, REFINE_FAMILIES[trial % len(REFINE_FAMILIES)](rng, n)
+
+
 @pytest.fixture
 def reductions(monkeypatch):
     """One list per C1P reduction that recognition runs, of the columns read."""
     calls = []
-    reduce_columns = robinson.recognition.reduce_columns
 
-    def counted(rows, columns):
+    def counted(tree, columns):
         read = []
         calls.append(read)
-        return reduce_columns(rows, (read.append(s) or s for s in columns))
+        return reduce_columns(tree, (read.append(s) or s for s in columns))
 
     monkeypatch.setattr(robinson.recognition, "reduce_columns", counted)
     return calls
@@ -309,12 +317,9 @@ class TestVerifyAndRefine:
     part of the segment columns and checks the candidate order."""
 
     def test_agrees_with_full_segment_reduction(self, reductions):
-        rng = random.Random(47)
         rounds = []
         yes = 0
-        for trial in range(540):
-            n = rng.randrange(10, 41)
-            space = REFINE_FAMILIES[trial % len(REFINE_FAMILIES)](rng, n)
+        for trial, space in refine_spaces():
             del reductions[:]
             got = recognize_two_way(space)
             rounds.append(len(reductions))
@@ -325,6 +330,30 @@ class TestVerifyAndRefine:
                 yes += 1
         assert 200 < yes < 540
         assert sum(r >= 2 for r in rounds) > 50
+
+    def test_builds_each_column_once(self, monkeypatch, reductions):
+        # the rounds refine one tree, so no (x, y) pair's column is built
+        # twice, and the tree is the one a single reduction of every column
+        # read, in read order, gives from the universal tree
+        built = []
+
+        def recorded(d, x, y):
+            built.extend(zip(x.tolist(), y.tolist()))
+            return _column_bitsets(d, x, y)
+
+        monkeypatch.setattr(robinson.recognition, "_column_bitsets", recorded)
+        multi = 0
+        for trial, space in refine_spaces():
+            del built[:], reductions[:]
+            got = recognize_two_way(space)
+            assert len(set(built)) == len(built), trial
+            multi += len(reductions) >= 2
+            if got is not None:
+                read = [s for call in reductions for s in call]
+                want = reduce_columns(universal_tree(space.n), read)
+                assert repr(got[1]._root) == repr(want._root), trial
+                assert got[0] == frontier(want), trial
+        assert multi > 50
 
     def test_small_spaces_take_one_round(self, reductions):
         # n(n-1)/2 <= 4n for n <= 9: the first round reduces every column
