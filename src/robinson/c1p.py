@@ -2,11 +2,16 @@
 
 Booth-Lueker style template reduction, one column at a time.  A column is
 an int bitset over the rows, and every node carries its leaf set as an int
-mask, so a child is classified empty, full or partial by one AND.  A column
-touches only the path down to its pertinent root, that root's children and
-the chain of partial nodes below it; a full, contiguous run under a Q-node
-root is left as it is.  Everything is plain loops: no recursion, and no
-process-global state such as the recursion limit is touched.
+mask, so a child is classified empty, full or partial by one AND.  A Q-node
+also keeps the prefix unions of its children's masks, so the first and last
+of its children that a column meets are found by binary search: passing
+down through a Q-node of k children, or finding that a column already is a
+full, contiguous run under a Q-node root and leaving it as it is, costs
+O(log k) big-int operations.  A P-node on the way down is read child by
+child, and a column that changes the tree also pays for its root's children
+and the chain of partial nodes below them.  Everything is plain loops: no
+recursion, and no process-global state such as the recursion limit is
+touched.
 
 A P-node's children may be permuted arbitrarily, a Q-node's children may
 only be reversed.  The frontier (leaves left to right) of any arrangement
@@ -16,6 +21,7 @@ set of frontiers is exactly the set of valid row orders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,21 +34,38 @@ Q = "Q"
 _EMPTY, _FULL, _PARTIAL = 0, 1, 2
 
 
+def _unions(start: int, nodes: list["_Node"]) -> list[int]:
+    """`start`, then `start` OR-ed with each node's mask in turn."""
+    out = [start]
+    for c in nodes:
+        start |= c.mask
+        out.append(start)
+    return out
+
+
 class _Node:
     """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
     construction: the templates rearrange a subtree but never change the
-    leaves under a node, so the mask never goes stale."""
+    leaves under a node, so the mask never goes stale.  A Q-node also
+    carries `pre`, the prefix unions of its children's masks (`pre[i]` is
+    the union of the first i), kept in step with every splice of its
+    children; P-nodes and leaves carry None."""
 
-    __slots__ = ("kind", "children", "row", "mask")
+    __slots__ = ("kind", "children", "row", "mask", "pre")
 
     def __init__(self, kind: str, children: Optional[list["_Node"]] = None, row: int = -1):
         self.kind = kind
         self.children: list[_Node] = children if children is not None else []
         self.row = row
-        mask = 1 << row if kind == LEAF else 0
-        for c in self.children:
-            mask |= c.mask
-        self.mask = mask
+        self.pre: Optional[list[int]] = None
+        if kind == Q:
+            self.pre = _unions(0, self.children)
+            self.mask = self.pre[-1]
+        else:
+            mask = 1 << row if kind == LEAF else 0
+            for c in self.children:
+                mask |= c.mask
+            self.mask = mask
 
     def __repr__(self) -> str:  # debugging aid
         if self.kind == LEAF:
@@ -176,66 +199,90 @@ def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
     return payload
 
 
-def _reduce_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
-    """Apply the templates at the pertinent root, given each child's
+def _reduce_p_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
+    """Apply the templates at a P-node pertinent root, given each child's
     pertinent leaves; return the replacement node (same leaf set), or None."""
     children = node.children
-    if node.kind == P:
-        states = _states(children, hits)
-        empties, fulls = _split(children, states)
-        partials = [c for c, st in zip(children, states) if st == _PARTIAL]
-        if not partials:
-            if not empties:
-                return node  # entire subtree is full: already a block
-            mid = _make_p(fulls)
-        else:
-            if len(partials) > 2:
-                return None
-            payloads = [_reduce_partial(c, s) for c in partials]
-            if any(p is None for p in payloads):
-                return None
-            inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
-            if len(payloads) == 2:
-                inner.extend(reversed(payloads[1]))
-            mid = _make_q(inner)
+    states = _states(children, hits)
+    empties, fulls = _split(children, states)
+    partials = [c for c, st in zip(children, states) if st == _PARTIAL]
+    if not partials:
         if not empties:
-            return mid
-        node.children = empties + [mid]
-        return node
+            return node  # entire subtree is full: already a block
+        mid = _make_p(fulls)
+    else:
+        if len(partials) > 2:
+            return None
+        payloads = [_reduce_partial(c, s) for c in partials]
+        if any(p is None for p in payloads):
+            return None
+        inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
+        if len(payloads) == 2:
+            inner.extend(reversed(payloads[1]))
+        mid = _make_q(inner)
+    if not empties:
+        return mid
+    node.children = empties + [mid]
+    return node
 
-    # Q-node: empties, optional partial, fulls, optional partial, empties.
-    # The non-empty run [lo, hi] is found by C-level list scans, so the
-    # Python-level work is proportional to the pertinent children only.
-    lo = hits.index(next(filter(None, hits)))
-    hi = len(hits) - 1 - hits[::-1].index(next(filter(None, reversed(hits))))
-    if hi - lo + 1 != len(hits) - hits.count(0):
+
+def _reduce_q_root(node: _Node, lo: int, s: int) -> Optional[_Node]:
+    """Apply the templates at a Q-node pertinent root whose first child
+    meeting `s` is `lo`; the node is rearranged in place, or None returned.
+
+    The children must read empties, optional partial, fulls, optional
+    partial, empties.  The last child meeting `s` is one below the least j
+    with pre[j] holding all of s, and the children strictly between the two
+    are full iff their union pre[hi] ^ pre[lo + 1] lies in s, so a column
+    that changes nothing costs O(log k) big-int operations on k children;
+    only a splice costs O(k)."""
+    children, pre = node.children, node.pre
+    hi = bisect_left(pre, True, lo + 2, key=lambda u: u & s == s) - 1
+    between = pre[hi] ^ pre[lo + 1]
+    if between & s != between:
         return None
-    if hits[lo + 1 : hi] != [c.mask for c in children[lo + 1 : hi]]:
-        return None
-    first_full, last_full = hits[lo] == children[lo].mask, hits[hi] == children[hi].mask
+    a, b = children[lo], children[hi]
+    first_full, last_full = a.mask & s == a.mask, b.mask & s == b.mask
     if first_full and last_full:
         return node  # the pertinent children already form a full, contiguous run
-    first = [children[lo]] if first_full else _reduce_partial(children[lo], s)
-    last = [children[hi]] if last_full else _reduce_partial(children[hi], s)
+    first = [a] if first_full else _reduce_partial(a, s)
+    last = [b] if last_full else _reduce_partial(b, s)
     if first is None or last is None:
         return None
-    node.children = children[:lo] + first + children[lo + 1 : hi] + last[::-1] + children[hi + 1 :]
+    last.reverse()  # full side first
+    node.children = children[:lo] + first + children[lo + 1 : hi] + last + children[hi + 1 :]
+    # the spliced-in nodes cover exactly the leaves of the two they replace,
+    # so every other prefix union keeps its value and only shifts
+    node.pre = (
+        pre[:lo] + _unions(pre[lo], first[:-1]) + pre[lo + 1 : hi]
+        + _unions(pre[hi], last[:-1]) + pre[hi + 1 :]
+    )
     return node
 
 
 def _reduce(root: _Node, s: int) -> Optional[_Node]:
     """Reduce the tree by one column; return the new root, or None."""
-    # descend to the pertinent root: the deepest node containing all of s
-    parent, node = None, root
-    hits = [c.mask & s for c in node.children]
-    while s in hits:
-        parent, node = node, node.children[hits.index(s)]
-        hits = [c.mask & s for c in node.children]
-    replacement = _reduce_root(node, hits, s)
+    # descend to the pertinent root, the deepest node containing all of s,
+    # keeping the index of each node among its parent's children
+    parent, node, at = None, root, 0
+    while True:
+        if node.kind == Q:
+            # the first child meeting s: the least i with pre[i + 1] & s
+            pre = node.pre
+            i = bisect_left(pre, True, 1, key=lambda u: u & s != 0) - 1
+            if pre[i + 1] & s != s:
+                replacement = _reduce_q_root(node, i, s)
+                break
+        else:
+            hits = [c.mask & s for c in node.children]
+            if s not in hits:
+                replacement = _reduce_p_root(node, hits, s)
+                break
+            i = hits.index(s)
+        parent, node, at = node, node.children[i], i
     if replacement is None or parent is None:
         return replacement
-    if replacement is not node:
-        parent.children[parent.children.index(node)] = replacement
+    parent.children[at] = replacement  # same leaf set, so parent.pre holds
     return root
 
 

@@ -24,8 +24,8 @@ from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
 # at most once, but rounds are bounded only by the number of columns.  At
-# the limit a planted YES takes about 1.7 s in one round, nearly all in the
-# C1P reducer, a rounded planted space 2.4 s in 4, and `robinson recognize`
+# the limit a planted YES takes about 0.3 s in one round, half of it in the
+# C1P reducer, a rounded planted space 0.8 s in 4, and `robinson recognize`
 # peaks at about 110 MB RSS (2-core Xeon, Python 3.11)
 MAX_POINTS = 1500
 

@@ -22,7 +22,16 @@ from robinson import (
     SizeGuardError,
     Tree,
 )
-from robinson.c1p import LEAF, P, Q, reduce_columns, universal_tree
+from robinson.c1p import (
+    LEAF,
+    P,
+    Q,
+    _Node,
+    _reduce_p_root,
+    _reduce_partial,
+    reduce_columns,
+    universal_tree,
+)
 from robinson.core import _one_way_ok, reach_sizes
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
@@ -322,6 +331,47 @@ def full_segment_reduction(space: DissimilaritySpace):
     return reduce_columns(universal_tree(n), columns)
 
 
+def _reference_q_root(node: _Node, hits: list[int], s: int) -> _Node | None:
+    """The Q-node root templates by scanning every child's pertinent leaves:
+    empties, optional partial, fulls, optional partial, empties."""
+    children = node.children
+    lo = hits.index(next(filter(None, hits)))
+    hi = len(hits) - 1 - hits[::-1].index(next(filter(None, reversed(hits))))
+    if hi - lo + 1 != len(hits) - hits.count(0):
+        return None
+    if hits[lo + 1 : hi] != [c.mask for c in children[lo + 1 : hi]]:
+        return None
+    first_full, last_full = hits[lo] == children[lo].mask, hits[hi] == children[hi].mask
+    if first_full and last_full:
+        return node
+    first = [children[lo]] if first_full else _reduce_partial(children[lo], s)
+    last = [children[hi]] if last_full else _reduce_partial(children[hi], s)
+    if first is None or last is None:
+        return None
+    # a new node, so its prefix unions are built from scratch
+    return _Node(Q, children[:lo] + first + children[lo + 1 : hi] + last[::-1] + children[hi + 1 :])
+
+
+def reference_reduce(root: _Node, s: int) -> _Node | None:
+    """One column by the child-scanning reducer, the reference for
+    `c1p._reduce`: every node on the way down to the pertinent root, and a
+    Q-node root, is read by AND-ing the column with each child's mask."""
+    parent, node = None, root
+    hits = [c.mask & s for c in node.children]
+    while s in hits:
+        parent, node = node, node.children[hits.index(s)]
+        hits = [c.mask & s for c in node.children]
+    if node.kind == Q:
+        replacement = _reference_q_root(node, hits, s)
+    else:
+        replacement = _reduce_p_root(node, hits, s)
+    if replacement is None or parent is None:
+        return replacement
+    if replacement is not node:
+        parent.children[parent.children.index(node)] = replacement
+    return root
+
+
 def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:
     """All frontiers of the tree, guarded against blow-up."""
     if t.num_leaves > FRONTIER_MAX_LEAVES:
@@ -354,11 +404,14 @@ def pq_to_nested(t: PQTree):
 
 
 def validate_pq_tree(t: PQTree) -> None:
-    """Assert structural invariants (leaf coverage, node arities)."""
+    """Assert structural invariants: leaf coverage, node arities, and each
+    Q-node's prefix unions recomputed from its children (None elsewhere)."""
     leaves: list[int] = []
     stack = [t._root]
     while stack:
         node = stack.pop()
+        if node.kind != Q and node.pre is not None:
+            raise AssertionError(f"{node.kind} node carries prefix unions")
         if node.kind == LEAF:
             leaves.append(node.row)
         else:
@@ -367,6 +420,12 @@ def validate_pq_tree(t: PQTree) -> None:
                 raise AssertionError(f"P-node with {k} children")
             if node.kind == Q and k < 3:
                 raise AssertionError(f"Q-node with {k} children")
+            if node.kind == Q:
+                pre = [0]
+                for c in node.children:
+                    pre.append(pre[-1] | c.mask)
+                if node.pre != pre:
+                    raise AssertionError(f"stale prefix unions on {node!r}")
             stack.extend(node.children)
     if sorted(leaves) != list(range(t.num_leaves)):
         raise AssertionError("leaves are not exactly the row indices")

@@ -22,7 +22,7 @@ from robinson import (
     frontier,
     test_c1p,
 )
-from robinson.c1p import reduce_columns, universal_tree
+from robinson.c1p import Q, reduce_columns, universal_tree
 from robinson.oracle import brute_c1p
 from support import (
     enumerate_frontiers,
@@ -32,6 +32,7 @@ from support import (
     planted_two_way_space,
     pq_to_nested,
     random_space,
+    reference_reduce,
     triple_two_way,
     valid_c1p_perms,
     validate_pq_tree,
@@ -136,6 +137,37 @@ class TestBitsetColumns:
         validate_pq_tree(t)
         position = {r: i for i, r in enumerate(frontier(t))}
         assert all(consecutive(position, c) for c in cols)
+
+
+class TestChildScanningReference:
+    def test_matches_reference_after_every_column(self):
+        # planted matrices of 30-300 rows, every other one with a few entries
+        # flipped; after each column the tree must equal the one the
+        # child-scanning reducer builds, or both must fail at that column
+        rng = random.Random(23)
+        widest = failed = 0
+        for trial in range(24):
+            rows = rng.randrange(30, 301)
+            m = planted_c1p_matrix(rng, rows, rng.randrange(rows // 2, rows + 1))
+            cols = [sum(b << r for r, b in enumerate(c)) for c in zip(*m.data)]
+            if trial % 2:
+                for _ in range(rng.randrange(1, 4)):
+                    cols[rng.randrange(len(cols))] ^= 1 << rng.randrange(rows)
+            lib, ref = universal_tree(rows), universal_tree(rows)._root
+            for s in cols:
+                lib = reduce_columns(lib, [s])
+                if s.bit_count() > 1 and s != ref.mask:  # reduce_columns skips the others
+                    ref = reference_reduce(ref, s)
+                assert (lib is None) == (ref is None)
+                if lib is None:
+                    failed += 1
+                    break
+                validate_pq_tree(lib)
+                assert repr(lib._root) == repr(ref)
+                if lib._root.kind == Q:
+                    widest = max(widest, len(lib._root.children))
+        assert widest > 50
+        assert 0 < failed < 24
 
 
 class TestFrontier:
