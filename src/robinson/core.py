@@ -1,12 +1,14 @@
 """Fundamental data model: dissimilarity spaces, trees, orientations.
 
-Also hosts the ground-truth compatibility checker and the directed-path
-counter that every optimization module is validated against.  The checker
-is one per-root pair walk, shared with the premise check of uniform_orient,
-that returns the first failing pair.  It tests the tails of long runs of
-single-successor vertices in numpy slices and the rest one pair at a time.
-The tests hold it to the literal triple definition over every directed
-path.
+Also hosts the ground-truth compatibility checker, the premise check of
+uniform_orient and the directed-path counter that every optimization
+module is validated against.  Both test each ordered pair by the two
+adjacent inequalities of the lemma of _breaks.  The compatibility checker
+is a per-root walk over the directed paths that returns the first failing
+pair, O(xi); it tests the tails of long runs of single-successor vertices
+in numpy slices and the rest one pair at a time.  The premise check,
+_tree_breaks, tests all n^2 ordered pairs of a tree in two whole-matrix
+gathers.  The tests hold both to the literal triple definition.
 
 Vertices are dense integer indices 0..n-1 throughout; external labels are
 mapped at the I/O layer.  All comparisons on dissimilarity values are exact
@@ -205,47 +207,79 @@ def _one_way_ok(rows: np.ndarray | list[list[float]], order: Sequence[int]) -> b
     return True
 
 
+def _tree_breaks(d: np.ndarray, adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """The tree form of _breaks: the boolean (a, b) mask of the ordered
+    pairs whose path a, h, ..., p, b in the tree ``adj`` has d(a,b) < d(a,p)
+    or d(a,b) < d(h,b).  O(n^2).  By the lemma of _breaks, every path of
+    the tree is one-way-Robinson iff no pair breaks.
+
+    pred[a, b] is the vertex before b on the path from a, so p = pred[a, b]
+    and h = pred[b, a]; a pair one edge apart has p = a and h = b, so it
+    never breaks.  Row 0 is the BFS parent array from vertex 0, and a later
+    vertex's row is its parent's with one entry changed, pred[a, parent] =
+    a; the diagonal, pred[a, a] = a, is set last.  Both tests are one
+    gather of row x at pred[x, y]: from d for d(a,p), with x = a, and from
+    d.T for d(h,b), with x = b, transposed back.  Each gather stays within
+    a row, and the transient is three n-by-n arrays: pred, d.T and one
+    gather.
+    """
+    n = len(adj)
+    parent = [0] * n
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    pred = np.empty((n, n), dtype=np.intp)
+    pred[0] = parent
+    for a in order[1:]:
+        pred[a] = pred[parent[a]]
+        pred[a, parent[a]] = a
+    r = np.arange(n)
+    pred[r, r] = r
+    pred += n * r[:, None]  # flat indices of row x, column pred[x, y]
+    bad = d < d.ravel().take(pred)  # d(a,p)
+    dt = d.T.copy()
+    bad |= (dt < dt.ravel().take(pred)).T  # d(h,b)
+    return bad
+
+
 # A tail of RUN_MIN or more vertices is tested in one numpy slice, a
 # shorter one a pair at a time.  Measured on a 2-core Xeon, Python 3.11,
 # numpy 2.4: a slice test costs about 5 us (two gathers, a maximum, a
-# comparison, an any), a scalar pair about 0.1 us read from nested lists
-# and 0.3 us from an array.  Kernel medians over RUN_MIN 16-96 on YES
-# trees: a 600-point directed line 6.4 ms at 16-48, 6.8 at 64, 7.2 at
-# 96; an undirected 1,000-point path 26 ms at 16-32, 27 at 48-64, 31 at
-# 96; six 100-vertex out-legs 14.2-15.0 ms and 400 leaves into a
-# 150-vertex handle 12.5-13.2 ms, flat within the host's noise.
+# comparison, an any), a scalar pair about 0.3 us.  Kernel medians over
+# RUN_MIN 16-96 on a YES 600-point directed line: 6.4 ms at 16-48, 6.8
+# at 64, 7.2 at 96.
 RUN_MIN = 32
 
 
 def _tails(run: list[int]) -> list:
     """Per position i of ``run``, the tail run[i:] as (an index array, its
-    vertex before the last, its last vertex), or None when it is shorter
-    than RUN_MIN."""
+    last vertex), or None when it is shorter than RUN_MIN."""
     arr = np.array(run)
     k = max(len(run) - RUN_MIN + 1, 0)
-    return [(arr[i:], run[-2], run[-1]) for i in range(k)] + [None] * (len(run) - k)
+    return [(arr[i:], run[-1]) for i in range(k)] + [None] * (len(run) - k)
 
 
-def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list, bool]:
+def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list]:
     """Runs of an oriented tree's out-adjacency: maximal chains in which
     every vertex but the last has exactly one out-neighbour, cut where two
-    such chains merge.  Returns step, rest and covered:
+    such chains merge.  Returns step and rest:
     - step[b] is b's one out-neighbour, which the walk reads one pair at a
       time; -2 when a tail follows it; -1 when it has no or several;
-    - rest[b] is (-1, None, the tail that follows b) where step[b] is -2;
-    - covered: every vertex lies in a run of RUN_MIN or more vertices.
+    - rest[b] is the tail that follows b where step[b] is -2.
     """
     n = len(adj)
     step = [nb[0] if len(nb) == 1 else -1 for nb in adj]
     rest: list = [None] * n
     if n < RUN_MIN:
-        return step, rest, False
+        return step, rest
     npred = [0] * n
     for c in step:
         if c >= 0:
             npred[c] += 1
     starts: list = [None] * n  # the tail starting at each vertex
-    covered = 0
     for b in range(n):
         if npred[b] == 1:
             continue  # inside the run of its one predecessor
@@ -253,85 +287,42 @@ def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list, bool]:
         while step[run[-1]] >= 0 and npred[step[run[-1]]] == 1:
             run.append(step[run[-1]])
         if len(run) >= RUN_MIN:
-            covered += len(run)
             for v, tail in zip(run, _tails(run)):
                 starts[v] = tail
     for b, c in enumerate(step):
         if c >= 0 and starts[c] is not None:
-            step[b], rest[b] = -2, (-1, None, starts[c])
-    return step, rest, covered == n
+            step[b], rest[b] = -2, starts[c]
+    return step, rest
 
 
-def _chain_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list, bool]:
-    """Runs of an undirected tree: each maximal chain of degree-2 vertices
-    plus the vertex past its far end, in both directions.  The walk enters
-    a chain vertex b from one of its two neighbours, so rest[b] is
-    (p, the tail that follows b entered from p, the tail that follows it
-    entered from the other one), either None when short, and step[b] is
-    -2; every other step is -1.  covered is as in _out_runs.
+def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """The first ordered pair (a, b) joined by a directed path a, h, ...,
+    p, b of the out-adjacency ``adj`` with d(a,b) < d(a,p) or
+    d(a,b) < d(h,b), or None.
+
+    By the lemma of _breaks, every directed path is one-way-Robinson iff no
+    such pair exists, so a walk from every root a, carrying its first hop h
+    and the last value d(a,p), tests each ordered reachable pair once,
+    O(xi).  A tail C of RUN_MIN or more vertices along a run is tested in
+    one numpy slice: d[a, C] nondecreasing from the last value and
+    d[a, C] >= d[h, C].  Branch vertices keep a Python stack.  "First" is
+    in walk order: roots a ascending, each a's first hops in adjacency
+    order, each hop's subtree depth first, last pushed out-neighbour first;
+    along a tail, its order.
     """
-    n = len(adj)
-    step = [-1] * n
-    rest: list = [None] * n
-    covered = [False] * n
-    for x in range(n if n >= RUN_MIN else 0):
-        if len(adj[x]) == 2:
-            continue
-        for c in adj[x]:
-            path = [x, c]  # x, v1..vk, y
-            while len(adj[path[-1]]) == 2:
-                u, w = adj[path[-1]]
-                path.append(w if u == path[-2] else u)
-            # a chain is found from both ends; the longest tail that follows
-            # one of its vertices has len(path) - 2
-            if len(path) - 2 < RUN_MIN or x > path[-1]:
-                continue
-            fwd, bwd = _tails(path), _tails(path[::-1])
-            last = len(path) - 1
-            for i in range(1, last):  # path[i] is followed by path[i+1:] or path[i-1::-1]
-                step[path[i]] = -2
-                rest[path[i]] = (path[i - 1], fwd[i + 1], bwd[last - i + 1])
-            for v in path:
-                covered[v] = True
-    return step, rest, all(covered)
-
-
-def _first_failing_pair(
-    d: np.ndarray, adj: Sequence[Sequence[int]], runs: tuple[list[int], list, bool]
-) -> Optional[tuple[int, int]]:
-    """The first ordered pair (a, b) whose path, following ``adj`` without
-    stepping back, is not one-way-Robinson, or None.  ``runs`` is
-    _out_runs(adj) for an oriented tree's out-adjacency, _chain_runs(adj)
-    for a tree's adjacency.
-
-    By the lemma of _breaks, a path a, h, ..., p, b with two or more edges
-    is one-way-Robinson iff its subpaths are and d(a,b) >= d(a,p) and
-    d(a,b) >= d(h,b).  So a walk from every root a, carrying its first hop
-    h and the last value d(a,p), tests each ordered pair once, O(xi).  A
-    tail C of RUN_MIN or more vertices along a run is tested in one numpy
-    slice: d[a, C] nondecreasing from the last value and d[a, C] >= d[h, C].
-    Branch vertices keep a Python stack.  "First" is in walk order: roots
-    a ascending, each a's first hops in adjacency order, each hop's
-    subtree depth first, last pushed neighbour first; along a tail, its
-    order.
-    """
-    step, rest, covered = runs
-    # scalar reads come from an array when runs cover the tree, where
-    # they are few, and otherwise from nested lists
-    rows = d if covered else d.tolist()
-    for a, row in enumerate(rows):
+    step, rest = _out_runs(adj)
+    for a in range(len(adj)):
+        row = d[a]
         for h in adj[a]:
-            hrow = rows[h]
-            stack = [(h, a, 0.0)]  # d(a,h) >= 0 = d(h,h): the first test passes
+            hrow = d[h]
+            stack = [(h, 0.0)]  # d(a,h) >= 0 = d(h,h): the first test passes
             while stack:
-                b, p, prev = stack.pop()
+                b, prev = stack.pop()
                 val = row[b]
                 if val < prev or val < hrow[b]:
                     return a, b
                 c = step[b]
                 while True:
-                    # steps follow only an oriented tree's arcs, so the p
-                    # they leave behind is no out-neighbour of where they stop
                     while c >= 0:
                         nxt = row[c]
                         if nxt < val or nxt < hrow[c]:
@@ -341,23 +332,17 @@ def _first_failing_pair(
                         c = step[c]
                     if c == -1:
                         break
-                    # a tail follows b, away from p (a directed one from any p)
-                    tail = rest[b]
-                    tail = tail[1] if p == tail[0] else tail[2]
-                    if tail is None:
-                        break  # short: the pushes below go on
-                    idx, p, b = tail
-                    v, hv = d[a][idx], d[h][idx]
+                    idx, b = rest[b]  # the tail that follows b
+                    v, hv = row[idx], hrow[idx]
                     if v[0] < val or v[0] < hv[0]:
                         return a, int(idx[0])
                     bad = v[1:] < np.maximum(v[:-1], hv[1:])
                     if bad.any():
                         return a, int(idx[bad.argmax() + 1])
-                    val = float(v[-1])
+                    val = v[-1]
                     c = step[b]
                 for c in adj[b]:  # a loop: extend() over a generator was 3x slower
-                    if c != p:
-                        stack.append((c, b, val))
+                    stack.append((c, val))
     return None
 
 
@@ -408,17 +393,20 @@ def count_xi(ot: OrientedTree) -> int:
 
 
 def failing_pair(space: DissimilaritySpace, tree: Tree | OrientedTree) -> Optional[tuple[int, int]]:
-    """The first ordered pair (a, b) whose a-to-b path is not
-    one-way-Robinson, or None: over the directed paths of an OrientedTree,
-    or over every path of a Tree.  "First" is in the walk order of
-    _first_failing_pair: smallest root a, then its walk."""
-    if isinstance(tree, OrientedTree):
-        t, adj, runs = tree.tree, tree.out_adjacency, _out_runs
-    else:
-        t, adj, runs = tree, tree.adjacency, _chain_runs
+    """A breaking pair (a, b), by the lemma of _breaks one whose a-to-b path
+    is not one-way-Robinson, or None: over the directed paths of an
+    OrientedTree, the first in the walk order of _first_failing_pair
+    (smallest root a, then its walk); over every path of a Tree, the first
+    True of _tree_breaks in row-major order (smallest a, then smallest b).
+    """
+    t = tree.tree if isinstance(tree, OrientedTree) else tree
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
-    return _first_failing_pair(space.d, adj, runs(adj))
+    if isinstance(tree, OrientedTree):
+        return _first_failing_pair(space.d, tree.out_adjacency)
+    bad = _tree_breaks(space.d, tree.adjacency)
+    i = int(bad.argmax())
+    return divmod(i, t.n) if bad.flat[i] else None
 
 
 def check_compatible(space: DissimilaritySpace, ot: OrientedTree) -> bool:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, failing_pair, reach_sizes
+from .core import DissimilaritySpace, OrientedTree, Tree, failing_pair
 from .errors import InputError, PreconditionError, SizeGuardError
 
-# the premise check refuses larger trees: its walk, shared with
-# core.check_compatible, is O(n^2).  At 1,000 points a monotone path, one
-# degree-2 chain, takes about 0.025 s in numpy slices and no copy of d; a
-# random tree about 0.37 s, with d copied into Python floats, some 30 MB
-# (2-core Xeon, Python 3.11, numpy 2.4)
+# the premise check refuses larger trees: it tests all n^2 ordered pairs in
+# whole-matrix gathers, O(n^2) time and memory.  At 1,000 points it takes
+# about 8-24 ms on a path, a star, a broom or a random tree, with a
+# transient of 26 MB (2-core Xeon, Python 3.11, numpy 2.4)
 PREMISE_MAX_POINTS = 1000
 
 
@@ -29,9 +28,8 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     """True iff for every ordered pair (u, v) the u-to-v tree path is
     one-way-Robinson.  Refused above PREMISE_MAX_POINTS points.
 
-    core.failing_pair over the undirected tree, the walk of
-    core.check_compatible: each ordered pair is tested once, O(n^2), and
-    degree-2 chains are read in numpy slices both ways.
+    core.failing_pair over the undirected tree: core._tree_breaks tests
+    each ordered pair once, by the lemma of core._breaks, in O(n^2).
     """
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")

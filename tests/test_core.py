@@ -21,7 +21,7 @@ from robinson import (
     is_one_way_order,
     is_two_way_order,
 )
-from robinson.core import RUN_MIN, _first_failing_pair, _out_runs, failing_pair
+from robinson.core import RUN_MIN, _first_failing_pair, failing_pair
 from support import (
     maximal_directed_paths,
     maximal_path_check,
@@ -265,7 +265,7 @@ class TestCheckCompatible:
 
         d = constant_space(n).d.view(CountingArray)
         adj = ot.out_adjacency
-        assert _first_failing_pair(d, adj, _out_runs(adj)) is None
+        assert _first_failing_pair(d, adj) is None
         assert 0 < reads[0] <= 3 * count_xi(ot)
 
 

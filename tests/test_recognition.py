@@ -18,11 +18,12 @@ from robinson import (
 from robinson.oracle import brute_two_way
 import robinson.recognition
 from robinson.c1p import frontier, reduce_columns, universal_tree
-from robinson.core import _breaks
+from robinson.core import _breaks, _tree_breaks
 from robinson.recognition import _column_bitsets, _segment_columns
 from support import (
     full_segment_reduction,
     membership_tensor,
+    path_tree,
     planted_two_way_space,
     random_space,
     triple_one_way,
@@ -161,6 +162,17 @@ class TestBreaks:
             assert (not _breaks(D.T).any()) == triple_one_way(space.d, order[::-1])
             yes += one_way
         assert 10 < yes < 60
+
+    def test_tree_breaks_on_a_path_tree(self):
+        # _tree_breaks on the path s, read in the order s, is _breaks of
+        # both directions: (i, k), i < k, on s and (k, i) on s reversed
+        rng = random.Random(79)
+        cases = [case for _ in range(3) for case in self.permuted(rng)]
+        for space, order, D in cases:
+            bad = _tree_breaks(space.d, path_tree(order).adjacency)[np.ix_(order, order)]
+            assert np.array_equal(np.triu(bad), _breaks(D))
+            assert np.array_equal(np.tril(bad), _breaks(D.T).T)
+        assert len(cases) == 186
 
     def test_breaking_pair_names_violated_segment(self):
         rng = random.Random(73)

@@ -4,7 +4,7 @@ the all-paths-Robinson premise."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from robinson import (
     check_compatible,
     count_xi,
 )
+from robinson.core import failing_pair
 from robinson.errors import PreconditionError
 from robinson.oracle import brute_optimal_orientation
 from robinson.uniform_orient import (
@@ -90,6 +91,15 @@ class TestVerifyAllPathsRobinson:
             )
             assert verify_all_paths_robinson(DissimilaritySpace(d), t) == naive
             agree += naive
+            # the first breaking pair, row-major: smallest a, then smallest b
+            first = None
+            for u, v in product(range(n), repeat=2):
+                path = tree_path(t, u, v)
+                if len(path) > 2 and (d[u, v] < d[u, path[-2]] or d[u, v] < d[path[1], v]):
+                    first = (u, v)
+                    break
+            assert failing_pair(DissimilaritySpace(d), t) == first
+            assert first is None or not triple_one_way(d, tree_path(t, *first))
         assert 0 < agree < 200  # both outcomes exercised
 
     def test_dimension_mismatch(self):
