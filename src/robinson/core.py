@@ -17,7 +17,7 @@ mapped at the I/O layer.  All comparisons on dissimilarity values are exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -87,10 +87,24 @@ def checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[in
 
 @dataclass(frozen=True)
 class Tree:
-    """An undirected tree on n vertices (exactly n-1 edges, connected)."""
+    """An undirected tree on n vertices (exactly n-1 edges, connected).
+
+    The constructor builds the adjacency in its one pass over the edges,
+    checking each endpoint's range before indexing, and validates by one
+    BFS from vertex 0: n-1 edges form a tree iff that walk reaches all n
+    vertices.  A self-loop or a repeated edge leaves at most n-2 distinct
+    edges, too few to connect n vertices, so the walk needs no cycle test.
+    Only when it falls short does checked_edges name the first self-loop,
+    range fault or duplicate in edge order; if there is none, the edges
+    contain a cycle.  The walk's order and parent array (-1 at vertex 0)
+    are kept for find_centroid, orient_all_robinson and the premise check.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    _adj: list[list[int]] = field(init=False, repr=False, compare=False)
+    _order: list[int] = field(init=False, repr=False, compare=False)
+    _parent: list[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         edge_list = tuple((int(u), int(v)) for u, v in edges)
@@ -98,30 +112,45 @@ class Tree:
             raise InputError("tree needs at least one vertex")
         if len(edge_list) != n - 1:
             raise InputError(f"tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in checked_edges(n, edge_list):
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise InputError("edges contain a cycle")
-            parent[ru] = rv
-        # n-1 acyclic edges on n vertices are necessarily connected
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edge_list:
+            if not (0 <= u < n and 0 <= v < n):
+                break  # fewer than n-1 edges added: the walk falls short
+            adj[u].append(v)
+            adj[v].append(u)
+        parent = [-1] * n
+        parent[0] = 0
+        order = [0]
+        for x in order:
+            for y in adj[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    order.append(y)
+        if len(order) < n:
+            for _ in checked_edges(n, edge_list):
+                pass
+            raise InputError("edges contain a cycle")
+        parent[0] = -1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_list)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_parent", parent)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(a) for a in adj)
+        """The neighbours of each vertex, in edge order: a read-only copy of
+        the lists the constructor built, made on first use."""
+        return tuple(map(tuple, self._adj))
+
+    @cached_property
+    def _sizes(self) -> list[int]:
+        """Subtree sizes of the walk from vertex 0."""
+        parent = self._parent
+        size = [1] * self.n
+        for x in self._order[:0:-1]:
+            size[parent[x]] += size[x]
+        return size
 
     def is_star(self, center: int) -> bool:
         return all(center in e for e in self.edges)
@@ -132,7 +161,9 @@ class OrientedTree:
     """A tree plus one direction per edge; arc (u, v) means u -> v.
 
     Arcs are stored aligned with ``tree.edges`` (arcs[i] is edges[i] or its
-    reverse).  The constructor accepts arcs in any order and aligns them.
+    reverse).  The constructor accepts arcs in any order and aligns them
+    through a set; a producer that already walks ``tree.edges`` hands over
+    one reversal flag per edge to from_reversed instead.
     """
 
     tree: Tree
@@ -152,6 +183,20 @@ class OrientedTree:
                 raise InputError(f"edge ({u}, {v}) has no arc")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "arcs", tuple(aligned))
+
+    @classmethod
+    def from_reversed(cls, tree: Tree, flags: Sequence[bool]) -> "OrientedTree":
+        """The orientation whose arc i is ``tree.edges[i]``, reversed where
+        ``flags[i]`` is true.  Aligned by construction: only the count is
+        checked."""
+        if len(flags) != len(tree.edges):
+            raise InputError(f"expected {len(tree.edges)} edge directions, got {len(flags)}")
+        ot = cls.__new__(cls)
+        object.__setattr__(ot, "tree", tree)
+        object.__setattr__(
+            ot, "arcs", tuple([(v, u) if f else (u, v) for (u, v), f in zip(tree.edges, flags)])
+        )
+        return ot
 
     @cached_property
     def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -207,33 +252,26 @@ def _one_way_ok(rows: np.ndarray | list[list[float]], order: Sequence[int]) -> b
     return True
 
 
-def _tree_breaks(d: np.ndarray, adj: Sequence[Sequence[int]]) -> np.ndarray:
+def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:
     """The tree form of _breaks: the boolean (a, b) mask of the ordered
-    pairs whose path a, h, ..., p, b in the tree ``adj`` has d(a,b) < d(a,p)
-    or d(a,b) < d(h,b).  O(n^2).  By the lemma of _breaks, every path of
-    the tree is one-way-Robinson iff no pair breaks.
+    pairs whose path a, h, ..., p, b in the tree t has d(a,b) < d(a,p) or
+    d(a,b) < d(h,b).  O(n^2).  By the lemma of _breaks, every path of the
+    tree is one-way-Robinson iff no pair breaks.
 
     pred[a, b] is the vertex before b on the path from a, so p = pred[a, b]
     and h = pred[b, a]; a pair one edge apart has p = a and h = b, so it
-    never breaks.  Row 0 is the BFS parent array from vertex 0, and a later
-    vertex's row is its parent's with one entry changed, pred[a, parent] =
-    a; the diagonal, pred[a, a] = a, is set last.  Both tests are one
-    gather of row x at pred[x, y]: from d for d(a,p), with x = a, and from
-    d.T for d(h,b), with x = b, transposed back.  Each gather stays within
-    a row, and the transient is three n-by-n arrays: pred, d.T and one
-    gather.
+    never breaks.  Row 0 is the parent array of the tree's BFS from vertex
+    0, and a later vertex's row, in that BFS order, is its parent's with
+    one entry changed, pred[a, parent] = a; the diagonal, pred[a, a] = a,
+    is set last.  Both tests are one gather of row x at pred[x, y]: from d
+    for d(a,p), with x = a, and from d.T for d(h,b), with x = b, transposed
+    back.  Each gather stays within a row, and the transient is three
+    n-by-n arrays: pred, d.T and one gather.
     """
-    n = len(adj)
-    parent = [0] * n
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
+    n, parent = t.n, t._parent
     pred = np.empty((n, n), dtype=np.intp)
     pred[0] = parent
-    for a in order[1:]:
+    for a in t._order[1:]:
         pred[a] = pred[parent[a]]
         pred[a, parent[a]] = a
     r = np.arange(n)
@@ -404,7 +442,7 @@ def failing_pair(space: DissimilaritySpace, tree: Tree | OrientedTree) -> Option
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if isinstance(tree, OrientedTree):
         return _first_failing_pair(space.d, tree.out_adjacency)
-    bad = _tree_breaks(space.d, tree.adjacency)
+    bad = _tree_breaks(space.d, tree)
     i = int(bad.argmax())
     return divmod(i, t.n) if bad.flat[i] else None
 

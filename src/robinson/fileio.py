@@ -108,7 +108,7 @@ def write_tree(tree: Tree, path: str | Path) -> None:
 
 def read_oriented_tree(path: str | Path) -> OrientedTree:
     n, arcs = _read_pairs(path, "oriented-tree file")
-    return OrientedTree(Tree(n, arcs), arcs)
+    return OrientedTree.from_reversed(Tree(n, arcs), [False] * (n - 1))
 
 
 def write_oriented_tree(ot: OrientedTree, path: str | Path) -> None:

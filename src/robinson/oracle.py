@@ -37,14 +37,11 @@ def brute_optimal_orientation(space: DissimilaritySpace, t: Tree) -> tuple[int, 
     counter; the first orientation attaining the maximum is returned."""
     if t.n > ORIENTATION_MAX_N:
         raise SizeGuardError(f"orientation enumeration guarded to n <= {ORIENTATION_MAX_N}")
-    edges = t.edges
+    m = len(t.edges)
     best = -1
     witness: Optional[OrientedTree] = None
-    for mask in range(1 << len(edges)):
-        arcs = [
-            (v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(edges)
-        ]
-        ot = OrientedTree(t, arcs)
+    for mask in range(1 << m):
+        ot = OrientedTree.from_reversed(t, [mask >> i & 1 for i in range(m)])
         if not check_compatible(space, ot):
             continue
         xi = count_xi(ot)

@@ -78,13 +78,11 @@ def path_orientation(
             if val > top:
                 top, run_end[a] = val, b
         best[a] = top
-    arcs: list[tuple[int, int]] = []
+    backward: list[bool] = []
     a, forward = 0, True
     while a < n - 1:
         b = run_end[a]
-        for t in range(a, b):
-            u, v = order[t], order[t + 1]
-            arcs.append((u, v) if forward else (v, u))
+        backward += [not forward] * (b - a)
         a, forward = b, not forward
     tree = Tree(n, [(order[t], order[t + 1]) for t in range(n - 1)])
-    return eta, OrientedTree(tree, arcs), best[0]
+    return eta, OrientedTree.from_reversed(tree, backward), best[0]

@@ -135,11 +135,9 @@ def orient_star(
     part = petals(space, t, center)
     k, chosen = optimal_partition_of_neighbors([len(p) for p in part.petals], n)
     inward = {v for i in chosen for v in part.petals[i]}
-    arcs = []
-    for u, v in t.edges:
-        leaf = v if u == center else u
-        arcs.append((leaf, center) if leaf in inward else (center, leaf))
-    return OrientedTree(t, arcs), (n - 1) + k * (n - 1 - k)
+    # an In leaf's arc points to the center
+    flags = [v in inward if u == center else u not in inward for u, v in t.edges]
+    return OrientedTree.from_reversed(t, flags), (n - 1) + k * (n - 1 - k)
 
 
 def assign_star(

@@ -40,38 +40,15 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     return failing_pair(space, t) is None
 
 
-def _sizes_rooted_at(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """BFS order, parent array and subtree sizes for the tree rooted at root."""
-    n = t.n
-    adj = t.adjacency
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    for x in order:
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-    parent[root] = -1
-    size = [1] * n
-    for x in reversed(order):
-        if parent[x] >= 0:
-            size[parent[x]] += size[x]
-    return order, parent, size
-
-
 def find_centroid(t: Tree) -> int:
     """A vertex none of whose removal components exceeds n/2 vertices.
 
-    O(n): compute subtree sizes from vertex 0, then walk toward the unique
-    too-big component until none remains; the first valid vertex on that
-    walk is returned (even n can have two valid centroids).
+    O(n), and no walk of its own: read the subtree sizes of the tree's BFS
+    from vertex 0, then walk from 0 toward the unique too-big component
+    until none remains; the first valid vertex on that walk is returned
+    (even n can have two valid centroids).
     """
-    n = t.n
-    if n == 1:
-        return 0
-    _, parent, size = _sizes_rooted_at(t, 0)
-    adj = t.adjacency
+    n, parent, size, adj = t.n, t._parent, t._sizes, t._adj
     x = 0
     while True:
         heavy = -1
@@ -137,6 +114,15 @@ def orient_all_robinson(
     the caller's promise unless verify_premise is set (it costs O(n^2), more
     than the algorithm, and is refused above PREMISE_MAX_POINTS points);
     space may be None when no verification is requested.
+
+    Nothing walks the tree again: everything is re-rooted from the subtree
+    sizes of the tree's BFS from vertex 0.  The centroid's components have
+    sizes size[y] for its children and n - size[center] above it; the depth
+    sum from the centroid is sum(size) - n, the one from vertex 0, plus
+    n - 2*size[c] for each c on the path from 0 down to the centroid; and
+    an edge's endpoint away from the centroid is its child from vertex 0,
+    except on that path, where it is the parent.  The arcs go to
+    OrientedTree.from_reversed, one flag per edge.
     """
     if space is not None and space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
@@ -146,27 +132,33 @@ def orient_all_robinson(
         if not verify_all_paths_robinson(space, t):
             raise PreconditionError("some tree path is not Robinson for d")
     n = t.n
-    if n == 1:
-        return OrientedTree(t, []), 0
     center = find_centroid(t)
-    order, parent, size = _sizes_rooted_at(t, center)
-    heads = t.adjacency[center]
-    k, chosen = optimal_partition_of_neighbors([size[y] for y in heads], n)
-    inward_heads = {heads[i] for i in chosen}
-    # component head of every vertex (the centroid neighbor above it)
-    head = [-1] * n
-    for x in order:
-        if x == center:
-            continue
-        head[x] = x if parent[x] == center else head[parent[x]]
-    arcs = []
-    for u, v in t.edges:
-        child = v if parent[v] == u else u
-        par = u if child == v else v
-        if head[child] in inward_heads:
-            arcs.append((child, par))
-        else:
-            arcs.append((par, child))
-    # each vertex reaches or is reached by its ancestors (depth of them, as
-    # sum(size) - n counts), and every In vertex reaches every Out vertex
-    return OrientedTree(t, arcs), sum(size) - n + k * (n - 1 - k)
+    parent, size = t._parent, t._sizes
+    heads = t._adj[center]
+    above = parent[center]  # -1 when the centroid is vertex 0
+    k, chosen = optimal_partition_of_neighbors(
+        [n - size[center] if y == above else size[y] for y in heads], n
+    )
+    # up[x]: the arc between x and parent[x] points to parent[x].  First
+    # mark each vertex whose component is In, copied down from the
+    # centroid's neighbours; vertex 0 takes the mark of the side above.
+    up = [False] * n
+    for i in chosen:
+        up[heads[i]] = True
+    if above >= 0:
+        up[0] = up[above]
+    for x in t._order[1:]:
+        if parent[x] != center:
+            up[x] = up[parent[x]]
+    # An In arc points to the centroid, which is up except on the path
+    # from the centroid to vertex 0.
+    depths = sum(size) - n
+    x = center
+    while x > 0:
+        depths += n - 2 * size[x]
+        up[x] = not up[x]
+        x = parent[x]
+    flags = [up[v] if parent[v] == u else not up[u] for u, v in t.edges]
+    # each vertex reaches or is reached by its ancestors (depth of them),
+    # and every In vertex reaches every Out vertex
+    return OrientedTree.from_reversed(t, flags), depths + k * (n - 1 - k)

@@ -35,6 +35,7 @@ from robinson.c1p import (
 from robinson.core import _one_way_ok, reach_sizes
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
+from robinson.uniform_orient import optimal_partition_of_neighbors
 
 # size guard of enumerate_frontiers: a P-node over k leaves has k! frontiers
 FRONTIER_MAX_LEAVES = 8
@@ -448,3 +449,86 @@ def reference_read_matrix(path: str | Path) -> DissimilaritySpace:
             raise InputError(f"matrix file: row of length {len(row)}, expected {n}")
         rows.append(row)
     return DissimilaritySpace(rows)
+
+
+CYCLE = "edges contain a cycle"
+
+
+def reference_tree_faults(n: int, edges) -> list[str]:
+    """Every fault of an edge list, in edge order, by the union-find
+    validator: a self-loop, an endpoint outside 0..n-1, a repeat of an
+    earlier edge in either direction, or an edge closing a cycle.  A faulty
+    edge is skipped and the scan goes on, so the first entry is the one
+    fault a validator that stops at the first would name."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    seen: set[tuple[int, int]] = set()
+    faults = []
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if u == v:
+            faults.append(f"self-loop at vertex {u}")
+        elif not (0 <= u < n and 0 <= v < n):
+            faults.append(f"edge ({u}, {v}) out of range for n={n}")
+        elif key in seen:
+            faults.append(f"duplicate edge ({u}, {v})")
+        else:
+            seen.add(key)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                faults.append(CYCLE)
+            else:
+                parent[ru] = rv
+    return faults
+
+
+def reference_orient_all_robinson(t: Tree) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """The centroid, the arcs (aligned with t.edges) and xi of the uniform
+    orientation, by two walks: a BFS with subtree sizes from vertex 0 finds
+    the centroid, walking toward the too-big component, and a second BFS
+    from the centroid gives each vertex its component head, the depth sum
+    and every edge's endpoint away from the centroid."""
+    def rooted(root: int) -> tuple[list[int], list[int], list[int]]:
+        parent = [-1] * t.n
+        parent[root] = root
+        order = [root]
+        for x in order:
+            for y in t.adjacency[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    order.append(y)
+        parent[root] = -1
+        size = [1] * t.n
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+        return order, parent, size
+
+    n = t.n
+    _, parent, size = rooted(0)
+    center = 0
+    while True:
+        heavy = [
+            y for y in t.adjacency[center]
+            if 2 * (size[y] if parent[y] == center else n - size[center]) > n
+        ]
+        if not heavy:
+            break
+        center = heavy[0]
+    order, parent, size = rooted(center)
+    heads = t.adjacency[center]
+    k, chosen = optimal_partition_of_neighbors([size[y] for y in heads], n)
+    inward_heads = {heads[i] for i in chosen}
+    head = [-1] * n
+    for x in order[1:]:
+        head[x] = x if parent[x] == center else head[parent[x]]
+    arcs = []
+    for u, v in t.edges:
+        child, par = (v, u) if parent[v] == u else (u, v)
+        arcs.append((child, par) if head[child] in inward_heads else (par, child))
+    return center, tuple(arcs), sum(size) - n + k * (n - 1 - k)

@@ -23,11 +23,13 @@ from robinson import (
 )
 from robinson.core import RUN_MIN, _first_failing_pair, failing_pair
 from support import (
+    CYCLE,
     maximal_directed_paths,
     maximal_path_check,
     random_space,
     random_tree,
     reachability,
+    reference_tree_faults,
     tree_path,
     triple_one_way,
     triple_two_way,
@@ -98,6 +100,56 @@ class TestConstruction:
         assert ot.arcs == ((0, 1), (2, 1))
         with pytest.raises(InputError):
             OrientedTree(t, [(0, 1), (0, 2)])
+
+    def test_oriented_tree_from_reversed_flags(self):
+        t = Tree(3, [(0, 1), (1, 2)])
+        ot = OrientedTree.from_reversed(t, [False, True])
+        assert ot.arcs == ((0, 1), (2, 1))
+        assert ot == OrientedTree(t, [(2, 1), (0, 1)])
+        with pytest.raises(InputError, match="expected 2 edge directions, got 1"):
+            OrientedTree.from_reversed(t, [True])
+
+    def test_tree_accepts_exactly_trees_and_names_the_fault(self):
+        # n-1 pairs drawn around a random tree, with self-loops, endpoints
+        # out of range, repeats and rewired edges (which may close a cycle)
+        # mixed in; the union-find reference lists every fault in edge order
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randrange(1, 9)
+            edges = [[u, v] if rng.random() < 0.5 else [v, u] for u, v in random_tree(rng, n).edges]
+            rng.shuffle(edges)
+            for _ in range(rng.choice((0, 1, 1, 1, 2, 3)) if n > 1 else 0):
+                i, kind = rng.randrange(n - 1), rng.randrange(4)
+                if kind == 0:
+                    edges[i] = [rng.randrange(n)] * 2
+                elif kind == 1:
+                    edges[i][rng.randrange(2)] = rng.choice((-1, n, n + 5))
+                elif kind == 2:
+                    edges[i] = list(edges[rng.randrange(n - 1)])[:: rng.choice((1, -1))]
+                else:
+                    edges[i] = rng.sample(range(n), 2)
+            edges = [tuple(e) for e in edges]
+            faults = reference_tree_faults(n, edges)
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(edges)
+            assert (not faults) == nx.is_tree(g), edges
+            if not faults:
+                assert Tree(n, edges).edges == tuple(edges)
+                continue
+            with pytest.raises(InputError) as exc:
+                Tree(n, edges)
+            # a self-loop, range fault or repeat is named before any cycle
+            want = next((f for f in faults if f != CYCLE), CYCLE)
+            assert str(exc.value) == want, edges
+            if len(faults) == 1:
+                assert want == faults[0]
+                seen.add(want.split()[0])
+            elif faults[0] == CYCLE and want != CYCLE:
+                seen.add("cycle first")
+        assert seen == {"self-loop", "edge", "duplicate", "edges", "cycle first"}
 
 
 class TestIsOneWayOrder:

@@ -169,7 +169,7 @@ class TestBreaks:
         rng = random.Random(79)
         cases = [case for _ in range(3) for case in self.permuted(rng)]
         for space, order, D in cases:
-            bad = _tree_breaks(space.d, path_tree(order).adjacency)[np.ix_(order, order)]
+            bad = _tree_breaks(space.d, path_tree(order))[np.ix_(order, order)]
             assert np.array_equal(np.triu(bad), _breaks(D))
             assert np.array_equal(np.tril(bad), _breaks(D.T).T)
         assert len(cases) == 186
