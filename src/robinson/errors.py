@@ -13,5 +13,6 @@ class PreconditionError(InputError):
 
 
 class SizeGuardError(RuntimeError):
-    """A brute-force search, an instance generator, two-way recognition or
-    a premise check refused to run because the instance is too large."""
+    """A brute-force search, an instance generator, two-way recognition, a
+    premise check or a star search over every center refused to run
+    because the instance is too large."""

@@ -9,19 +9,33 @@ center.  Both use the one bitset subset-sum in `uniform_orient`.
 
 The closure reads d as nested Python lists, converted once per call:
 indexing a numpy array per pair would box a scalar on every read.  Routines
-that try every center of K_{1,n-1} share one pass over the centers, and the
-best center is ranked by the closed-form xi, so only the winning star is
-ever built.
+that try every center of K_{1,n-1} share one loop over the centers, ranked
+or tested from petal sizes alone, so only the winning star is ever built.
+That loop is a branch and bound: a center's closure stops as soon as one
+petal grows past a cap beyond which the center can neither win
+(`best_star_center`) nor fit the split (`assign_star`), and the ranking
+stops at the first center whose score reaches the largest possible.  Both
+routines copy d into n^2 Python floats and stay cubic in the worst case, so
+they refuse more than MAX_POINTS points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import uniform_orient
 from .core import DissimilaritySpace, OrientedTree, Tree
-from .errors import InputError, PreconditionError
-from .uniform_orient import _subset_sum, optimal_partition_of_neighbors
+from .errors import InputError, PreconditionError, SizeGuardError
+from .uniform_orient import _subset_sum
+
+# best_star_center and assign_star refuse larger spaces before copying d:
+# the copy is n^2 Python floats and the search stays cubic in the worst
+# case.  The worst family measured, triples where two centers in three have
+# no balanced split and the rest come last, takes 2.4-3.4 s at 495-501
+# points; a line in label order about 0.8 s, and constant, random 2- and
+# 3-valued and triple spaces under 0.2 s (2-core Xeon, Python 3.11)
+MAX_POINTS = 500
 
 
 @dataclass(frozen=True)
@@ -46,21 +60,29 @@ def _require_symmetric(space: DissimilaritySpace) -> None:
         raise PreconditionError("this operation requires a symmetric dissimilarity")
 
 
-def _petal_closure(rows, x: int, candidates: Sequence[int]) -> list[list[int]]:
+def _petal_closure(
+    rows, x: int, candidates: Sequence[int], cap: Optional[int] = None
+) -> Optional[list[list[int]]]:
     """Closure classes of d(t,z) < max(d(x,t), d(x,z)) over the candidates,
-    with d given as nested lists (rows[i][j] = d(i,j), symmetric).
+    with d given as nested lists (rows[i][j] = d(i,j), symmetric); None as
+    soon as a class grows past `cap` points (cap >= 1; None means no cap).
 
-    Seeds are taken in the candidates' order; the resulting partition does
-    not depend on that order (callers canonicalize the presentation).
+    A class only grows while its BFS runs, so a class seen past the cap
+    ends past it and None is exact.  A class stops popping once no
+    candidate is left to absorb.  Seeds are taken in the candidates' order;
+    the resulting partition does not depend on that order (callers
+    canonicalize the presentation).
     """
     dx = rows[x]
     remaining = list(candidates)
+    if cap is None:
+        cap = len(remaining)
     petals: list[list[int]] = []
     while remaining:
         seed = remaining.pop(0)
         petal = [seed]
         queue = [seed]
-        while queue:
+        while queue and remaining:
             z = queue.pop()
             dz = rows[z]
             dxz = dx[z]
@@ -72,17 +94,19 @@ def _petal_closure(rows, x: int, candidates: Sequence[int]) -> list[list[int]]:
                 else:
                     keep.append(t)
             remaining = keep
+            if len(petal) > cap:
+                return None
         petals.append(petal)
     return petals
 
 
-def _star_petals(space: DissimilaritySpace) -> Iterator[tuple[int, list[list[int]]]]:
-    """(center, petal classes of all other vertices) for every center of
-    K_{1,n-1} in index order; d is converted to lists once."""
-    rows = space.d.tolist()
-    n = space.n
-    for center in range(n):
-        yield center, _petal_closure(rows, center, [v for v in range(n) if v != center])
+def _guarded_rows(space: DissimilaritySpace) -> list[list[float]]:
+    """d as nested lists, for the routines that try every center."""
+    if space.n > MAX_POINTS:
+        raise SizeGuardError(
+            f"star search over {space.n} points exceeds the limit of {MAX_POINTS}"
+        )
+    return space.d.tolist()
 
 
 def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
@@ -105,17 +129,37 @@ def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
 
 def best_star_center(space: DissimilaritySpace) -> int:
     """The center of K_{1,n-1} whose optimal orientation has the largest xi
-    (lowest index on ties).  Each center is ranked by k*(n-1-k), the part of
-    `orient_star`'s xi that varies, with k its balanced petal subset-sum;
-    no star is built."""
+    (lowest index on ties).  Each center is ranked by k*(m-k), m = n-1, the
+    part of `orient_star`'s xi that varies, with k its balanced petal
+    subset-sum; no star is built.  Refused above MAX_POINTS points.
+
+    Bound: a petal of L >= m/2 points lies wholly on one side, so
+    min(k, m-k) <= m-L and the score is at most L*(m-L), which falls as L
+    grows.  Each closure is capped at the largest L >= ceil(m/2) with
+    L*(m-L) above the best score so far, so a center cut off cannot
+    strictly beat the best and the lowest-index tie rule holds.  The loop
+    stops at the first score equal to floor(m/2)*ceil(m/2), the largest
+    possible.
+    """
     _require_symmetric(space)
+    rows = _guarded_rows(space)
     n = space.n
-    best_score, best_center = -1, 0
-    for center, groups in _star_petals(space):
+    m = n - 1
+    top = (m // 2) * (m - m // 2)
+    points = list(range(n))
+    best_score, best_center, cap = -1, 0, m
+    for center in range(n):
+        groups = _petal_closure(rows, center, points[:center] + points[center + 1 :], cap)
+        if groups is None:
+            continue
         k = _subset_sum([len(g) for g in groups], n // 2)[0]
-        score = k * (n - 1 - k)
+        score = k * (m - k)
         if score > best_score:
             best_score, best_center = score, center
+            if score == top:
+                break
+            while cap * (m - cap) <= best_score:
+                cap -= 1
     return best_center
 
 
@@ -133,7 +177,8 @@ def orient_star(
         raise InputError(f"tree is not a star centered at {center}")
     n = t.n
     part = petals(space, t, center)
-    k, chosen = optimal_partition_of_neighbors([len(p) for p in part.petals], n)
+    # through the module, so a wrapper on the attribute sees the call
+    k, chosen = uniform_orient.optimal_partition_of_neighbors([len(p) for p in part.petals], n)
     inward = {v for i in chosen for v in part.petals[i]}
     # an In leaf's arc points to the center
     flags = [v in inward if u == center else u not in inward for u, v in t.edges]
@@ -148,7 +193,12 @@ def assign_star(
 
     Centers are tried in index order, reading d as lists converted once per
     call; petal subsets are found by an exact subset-sum over petal sizes
-    (ties broken toward exclusion).
+    (ties broken toward exclusion).  Refused above MAX_POINTS points.
+
+    Bound: every petal goes wholly In or wholly Out, so a petal larger than
+    max(in_count, out_count) rules its center out, and each closure is
+    capped there.  A feasible center is never cut off, so the first one and
+    its witness split are those of the uncapped search.
     """
     _require_symmetric(space)
     n = space.n
@@ -156,7 +206,13 @@ def assign_star(
         raise InputError(
             f"in/out counts ({in_count}, {out_count}) must be nonnegative and sum to n-1"
         )
-    for center, groups in _star_petals(space):
+    rows = _guarded_rows(space)
+    cap = max(in_count, out_count)
+    points = list(range(n))
+    for center in range(n):
+        groups = _petal_closure(rows, center, points[:center] + points[center + 1 :], cap)
+        if groups is None:
+            continue
         best, chosen = _subset_sum([len(g) for g in groups], in_count)
         if best != in_count:
             continue

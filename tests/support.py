@@ -20,6 +20,7 @@ from robinson import (
     OrientedTree,
     PQTree,
     SizeGuardError,
+    StarAssignment,
     Tree,
 )
 from robinson.c1p import (
@@ -35,7 +36,7 @@ from robinson.c1p import (
 from robinson.core import _one_way_ok, reach_sizes
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
-from robinson.uniform_orient import optimal_partition_of_neighbors
+from robinson.uniform_orient import _subset_sum, optimal_partition_of_neighbors
 
 # size guard of enumerate_frontiers: a P-node over k leaves has k! frontiers
 FRONTIER_MAX_LEAVES = 8
@@ -190,6 +191,42 @@ def petal_classes(d, x: int, candidates) -> set[frozenset[int]]:
     for v in candidates:
         classes.setdefault(find(v), set()).add(v)
     return {frozenset(c) for c in classes.values()}
+
+
+def reference_star_petals(space: DissimilaritySpace) -> Iterator[tuple[int, list[list[int]]]]:
+    """(center, petal classes of all other vertices) for every center in
+    index order, each class ascending and the classes by smallest member:
+    the order in which the uncapped closure seeds them."""
+    n = space.n
+    for c in range(n):
+        classes = petal_classes(space.d, c, [v for v in range(n) if v != c])
+        yield c, sorted(sorted(g) for g in classes)
+
+
+def reference_best_star_center(space: DissimilaritySpace) -> int:
+    """Every center's full petal partition, ranked by k*(n-1-k) with k the
+    balanced petal subset-sum; the first strictly larger score wins."""
+    n = space.n
+    best_score, best_center = -1, 0
+    for center, groups in reference_star_petals(space):
+        k = _subset_sum([len(g) for g in groups], n // 2)[0]
+        score = k * (n - 1 - k)
+        if score > best_score:
+            best_score, best_center = score, center
+    return best_center
+
+
+def reference_assign_star(space: DissimilaritySpace, in_count: int, out_count: int):
+    """The first center, in index order, whose full petal partition has an
+    exact subset-sum of in_count, with its witness split; None if none."""
+    for center, groups in reference_star_petals(space):
+        best, chosen = _subset_sum([len(g) for g in groups], in_count)
+        if best != in_count:
+            continue
+        inward = {v for i in chosen for v in groups[i]}
+        out = [v for g in groups for v in g if v not in inward]
+        return StarAssignment(center, tuple(sorted(inward)), tuple(sorted(out)))
+    return None
 
 
 def tree_path(t: Tree, u: int, v: int) -> tuple[int, ...]:

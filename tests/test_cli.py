@@ -176,6 +176,22 @@ class TestExitCodes:
         assert out == ""
         assert f"refused: premise verification of {n} points exceeds the limit of {n - 1}" in err
 
+    def test_star_search_size_guard(self, tmp_path, capsys):
+        # only the searches over every center are guarded; a given center
+        # reads its own neighbours
+        n = robinson.stars.MAX_POINTS + 1
+        path = tmp_path / "m.matrix"
+        write_constant_matrix(path, n)
+        m, a = str(path), (n - 1) // 2
+        counts = ["--in", str(a), "--out", str(n - 1 - a)]
+        for argv in (["orient", "star", m], ["assign", "star", m, *counts]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert f"refused: star search over {n} points exceeds the limit of {n - 1}" in err
+        assert run(capsys, "orient", "star", m, "--center", "0")[0] == 0
+        assert run(capsys, "petals", m, "--center", "0")[0] == 0
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "recognize", "/nonexistent/m.matrix")
         assert code == 2
@@ -427,6 +443,8 @@ class TestTracedEntryPoints:
             count(robinson.cli, name)
         for name in ("read_matrix", "read_oriented_tree"):
             count(robinson.fileio, name)
+        # reached by orient star alone, once for the star it builds
+        count(robinson.uniform_orient, "optimal_partition_of_neighbors")
         mpath, opath = tmp_path / "m.matrix", tmp_path / "t.orient"
         write_matrix(CHAIN3, mpath)
         opath.write_text("3\n0 1\n1 2\n")
@@ -437,4 +455,5 @@ class TestTracedEntryPoints:
         assert calls == {
             "read_matrix": 4, "orient_star": 1, "assign_star": 1, "path_orientation": 1,
             "read_oriented_tree": 1, "check_compatible": 1, "count_xi": 1,
+            "optimal_partition_of_neighbors": 1,
         }

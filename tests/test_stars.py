@@ -15,10 +15,25 @@ from robinson import (
     check_compatible,
     count_xi,
 )
-from robinson.errors import PreconditionError
+import robinson.stars
+from robinson.errors import PreconditionError, SizeGuardError
 from robinson.oracle import brute_optimal_orientation
-from robinson.stars import _petal_closure, assign_star, best_star_center, orient_star, petals
-from support import petal_classes, random_space, random_tree, star_tree
+from robinson.stars import (
+    MAX_POINTS,
+    _petal_closure,
+    assign_star,
+    best_star_center,
+    orient_star,
+    petals,
+)
+from support import (
+    petal_classes,
+    random_space,
+    random_tree,
+    reference_assign_star,
+    reference_best_star_center,
+    star_tree,
+)
 
 
 def tied_spaces(seed, count, max_n=12):
@@ -48,6 +63,67 @@ def space_from(entries, n, default=2.0):
         d[i, j] = v
         d[j, i] = v
     return DissimilaritySpace(d)
+
+
+def group_space(n, size):
+    """Points in consecutive groups of `size`: distance 1 inside a group,
+    2 across it."""
+    label = np.arange(n) // size
+    d = np.where(label[:, None] == label, 1.0, 2.0)
+    np.fill_diagonal(d, 0.0)
+    return DissimilaritySpace(d)
+
+
+def spoke_space(rays, length):
+    """Tree metric of a hub, labelled last, and `rays` rays of `length`
+    points at radii 1..length: from the hub the petals are the rays."""
+    ray = np.repeat(np.arange(rays + 1), [length] * rays + [1])
+    radius = np.append(np.tile(np.arange(1.0, length + 1), rays), 0.0)
+    same = ray[:, None] == ray
+    d = np.where(same, np.abs(radius[:, None] - radius), radius[:, None] + radius)
+    np.fill_diagonal(d, 0.0)
+    return DissimilaritySpace(d)
+
+
+def one_petal_space(rng, n):
+    """Random symmetric space (n even) whose points are paired at a distance
+    above every other entry, so every center has a single petal."""
+    d = np.array([[float(rng.randrange(1, 5)) for _ in range(n)] for _ in range(n)])
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for a, b in zip(perm[::2], perm[1::2]):
+        d[a, b] = d[b, a] = 9.0
+    return DissimilaritySpace(d)
+
+
+def line_space(rng, n, shuffle):
+    coords = np.array(sorted(rng.sample(range(1000), n)), dtype=float)
+    if shuffle:
+        rng.shuffle(coords)
+    return DissimilaritySpace(np.abs(coords[:, None] - coords))
+
+
+def star_families():
+    """Seeded 2-, 3- and 5-valued spaces (n <= 13), spokes, one-petal
+    spaces, lines in and out of label order, constant spaces and disjoint
+    pairs and triples, n = 1 and 2 among them."""
+    for values, seed in ((2, 41), (3, 43), (5, 47)):
+        rng = random.Random(seed)
+        for _ in range(80):
+            n = rng.randrange(1, 14)
+            yield random_space(rng, n, values=[float(v) for v in range(1, values + 1)], symmetric=True)
+    rng = random.Random(53)
+    for rays, length in ((1, 1), (2, 3), (3, 2), (4, 3), (5, 2), (6, 2)):
+        yield spoke_space(rays, length)
+    for n in (2, 4, 6, 8, 10, 12):
+        yield one_petal_space(rng, n)
+    for n in range(1, 14):
+        yield line_space(rng, n, shuffle=False)
+        yield line_space(rng, n, shuffle=True)
+        yield constant_space(n)
+        yield group_space(n, 2)
+        yield group_space(n, 3)
 
 
 # center 0, leaves 1..3; only the (1,2) pair is forced together
@@ -98,6 +174,21 @@ class TestPetals:
                 want = petal_classes(space.d, x, candidates)
                 assert {frozenset(g) for g in _petal_closure(rows, x, candidates)} == want
                 assert petals(space, star_tree(n, x), x).petals == canonical(want)
+
+    def test_capped_closure_stops_exactly_past_the_cap(self):
+        for space in tied_spaces(59, 150):
+            n = space.n
+            rows = space.d.tolist()
+            for x in range(n):
+                candidates = [v for v in range(n) if v != x]
+                want = petal_classes(space.d, x, candidates)
+                largest = max(map(len, want), default=0)
+                for cap in range(1, n):
+                    got = _petal_closure(rows, x, candidates, cap)
+                    if largest > cap:
+                        assert got is None
+                    else:
+                        assert {frozenset(g) for g in got} == want
 
     def test_non_star_tree_reads_neighbors_only(self):
         rng = random.Random(29)
@@ -231,10 +322,32 @@ class TestBestStarCenter:
             ot, xi = orient_star(space, star_tree(space.n, c), c)
             assert (xi, c, ot.arcs) == self.every_center(space)
 
+    def test_matches_reference_loop(self):
+        # orient_star is unchanged, so an equal center gives an equal star
+        for space in star_families():
+            assert best_star_center(space) == reference_best_star_center(space)
+
+    def test_constant_space_stops_at_first_center(self, monkeypatch):
+        # center 0 reaches the largest score, so no other closure runs
+        closures = []
+
+        def counted(rows, x, candidates, cap=None):
+            closures.append(x)
+            return _petal_closure(rows, x, candidates, cap)
+
+        monkeypatch.setattr(robinson.stars, "_petal_closure", counted)
+        assert best_star_center(constant_space(400)) == 0
+        assert closures == [0]
+
     def test_asymmetric_rejected(self):
         d = np.array([[0, 1, 2], [2, 0, 1], [2, 1, 0]], dtype=float)
         with pytest.raises(PreconditionError):
             best_star_center(DissimilaritySpace(d))
+
+    def test_size_guard(self):
+        assert best_star_center(constant_space(MAX_POINTS)) == 0
+        with pytest.raises(SizeGuardError):
+            best_star_center(constant_space(MAX_POINTS + 1))
 
 
 class TestAssignStar:
@@ -264,6 +377,19 @@ class TestAssignStar:
         res = assign_star(TWO_PETALS, 1, 2)
         assert res is not None
         assert res.in_set == (3,)  # the singleton petal is the only size-1 union
+
+    def test_matches_reference_loop_at_every_in_count(self):
+        for space in star_families():
+            n = space.n
+            for a in range(n):
+                assert assign_star(space, a, n - 1 - a) == reference_assign_star(space, a, n - 1 - a)
+
+    def test_size_guard(self):
+        half = (MAX_POINTS - 1) // 2
+        res = assign_star(constant_space(MAX_POINTS), half, MAX_POINTS - 1 - half)
+        assert res is not None and res.center == 0
+        with pytest.raises(SizeGuardError):
+            assign_star(constant_space(MAX_POINTS + 1), half, MAX_POINTS - half)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(InputError):
