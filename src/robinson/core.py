@@ -39,7 +39,9 @@ class DissimilaritySpace:
     d: np.ndarray
 
     def __init__(self, d: Iterable[Iterable[float]] | np.ndarray, *, validate: bool = True):
-        mat = np.asarray(d, dtype=float)
+        # one copy, whatever the input: the space never aliases the caller's
+        # array, and lists and int arrays are converted straight into it
+        mat = np.array(d, dtype=float)
         if validate:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InputError(f"dissimilarity matrix must be square, got shape {mat.shape}")
@@ -51,7 +53,6 @@ class DissimilaritySpace:
                 raise InputError("dissimilarity values must be nonnegative")
             if np.any(np.diagonal(mat) != 0):
                 raise InputError("diagonal of a dissimilarity matrix must be zero")
-        mat = mat.copy()
         mat.setflags(write=False)
         self.n = mat.shape[0]
         self.d = mat

@@ -24,33 +24,34 @@ from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
 # at most once, but rounds are bounded only by the number of columns.  At
-# the limit a planted YES takes about 0.3 s in one round, half of it in the
-# C1P reducer, a rounded planted space 0.8 s in 4, and `robinson recognize`
-# peaks at about 110 MB RSS (2-core Xeon, Python 3.11)
+# the limit a planted YES takes 0.10-0.17 s in one round of n-1 columns,
+# most of it in the C1P reducer, a rounded planted space 0.33-0.75 s in 4-5
+# rounds, and `robinson recognize` peaks at about 108 MB RSS, set by reading
+# the text file, or 100 MB on a rounded file (2-core Xeon, Python 3.11)
 MAX_POINTS = 1500
 
 
-def _segment_columns(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _segment_columns(d: np.ndarray, dt: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Boolean array whose row j marks the members t of S(x[j], y[j]):
-    d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x))."""
+    d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x)).
+    dt is a contiguous copy of d.T, so all four gathers read rows."""
     dxy, dyx = d[x, y][:, None], d[y, x][:, None]
-    # one float temporary at a time, each read by rows of d or by columns:
-    # d.T.take(y, 0) would copy all of d first
+    # one float temporary at a time
     cols = dxy >= d.take(x, 0)
-    cols &= dxy >= d.take(y, 1).T
+    cols &= dxy >= dt.take(y, 0)
     cols &= dyx >= d.take(y, 0)
-    cols &= dyx >= d.take(x, 1).T
+    cols &= dyx >= dt.take(x, 0)
     return cols
 
 
-def _column_bitsets(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> Iterator[int]:
+def _column_bitsets(d: np.ndarray, dt: np.ndarray, x: np.ndarray, y: np.ndarray) -> Iterator[int]:
     """The segment columns of the pairs (x, y) as int bitsets, built as read
     in blocks of at most 8,192 entries: so a NO builds none past its failing
     column's block, and each 64 KB float temporary, under glibc's least mmap
     threshold (128 KB), reuses heap pages instead of faulting in new ones."""
     k = max(1, 8192 // len(d))
     for lo in range(0, len(x), k):
-        cols = _segment_columns(d, x[lo : lo + k], y[lo : lo + k])
+        cols = _segment_columns(d, dt, x[lo : lo + k], y[lo : lo + k])
         packed = np.packbits(cols, axis=1, bitorder="little")
         width, data = packed.shape[1], packed.tobytes()
         for o in range(0, len(data), width):
@@ -62,20 +63,35 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     the way, or None if the space is not two-way-Robinson.
 
     Ordered-pair columns come in identical (x,y)/(y,x) twins; only the x < y
-    half is used.  Round 1 takes the first 4n pairs in row-major (x, y)
-    order and streams their columns to the C1P reducer as int bitsets,
-    built in blocks as it reads them, so a NO answer reads none past the
-    first failing column; the tree's leftmost frontier s becomes the
-    candidate order.  The check permutes d into s and takes its breaking
-    pairs (i, j), in d and in d.T (core._breaks).  Both s_i and s_j lie in
-    S(s_i, s_j), and the break puts s_{i+1} or s_{j-1}, which lies between
-    them, outside it; so the column of (s_i, s_j) is violated.  The first
-    4n of them in row-major (i, j) order have their columns built and
-    reduced onto the same tree.  A column already reduced is an interval
-    of s, so each of these is new: a call builds and reduces each column
-    at most once, and the loop ends when s has no breaking pair or the
-    reducer fails.  For n <= 9 the first round takes every column, so
-    those spaces are decided in one round with no check.
+    half is used.  d is read through its rows and the rows of one contiguous
+    copy of d.T, made once per call.  Each round streams its pairs' columns
+    to the C1P reducer as int bitsets, built in blocks as it reads them, so
+    a NO answer reads none past the first failing column; the tree's
+    leftmost frontier s becomes the candidate order.
+
+    For n <= 9 round 1 takes every pair, so those spaces are decided in one
+    round with no check.  Otherwise round 1 takes the n-1 pairs of one
+    anchor a with every other point.  When each segment is exactly the
+    interval of a compatible order between its ends and a is not an end of
+    that order, a's segments are nested intervals on both sides of a, which
+    pin the order up to reversal: one round and one check decide the space.
+    An anchor at an end leaves itself and its neighbour unordered, under a
+    chain of n-1 nested P-nodes that each column of the next round
+    descends.  So a is the least of 0, 1, 2 that is neither e, the point
+    farthest from 0, nor f, the point farthest from e, by max(d(x,y),
+    d(y,x)).  In a compatible order both d(x,y) and d(y,x) grow as y moves
+    away from x on either side, so e and f are its two ends when no
+    distances tie.  Ties widen segments; then the check names the columns
+    still needed.
+
+    The check permutes d into s and takes its breaking pairs (i, j), in d
+    and in d.T (core._breaks).  Both s_i and s_j lie in S(s_i, s_j), and
+    the break puts s_{i+1} or s_{j-1}, which lies between them, outside it;
+    so the column of (s_i, s_j) is violated.  The first 4n of them in
+    row-major (i, j) order have their columns built and reduced onto the
+    same tree.  A column already reduced is an interval of s, so each of
+    these is new: a call builds and reduces each column at most once, and
+    the loop ends when s has no breaking pair or the reducer fails.
 
     Both answers are exact.  YES: s has no breaking pair, so it is
     two-way-Robinson.  NO: some subset of the segments has no
@@ -90,22 +106,30 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     if n > MAX_POINTS:
         raise SizeGuardError(f"instance of {n} points exceeds the limit of {MAX_POINTS}")
     d = space.d
+    dt = np.ascontiguousarray(d.T)
     r = np.arange(n)
     k = 4 * n
-    # the first k pairs x < y in row-major (x, y) order lie in the first nine
-    # rows, which hold 9n - 45 >= 4n pairs when n >= 9 and all of them below
-    x, y = (a[:k] for a in np.nonzero(r[:9, None] < r))  # the pairs of this round's columns
+    if n <= 9:
+        x, y = np.nonzero(r[:, None] < r)  # the pairs of this round's columns
+    else:
+        e = int(np.argmax(np.maximum(d[0], dt[0])))
+        f = int(np.argmax(np.maximum(d[e], dt[e])))
+        a = min({0, 1, 2} - {e, f})
+        o = np.delete(r, a)
+        x, y = np.minimum(a, o), np.maximum(a, o)
     tree = universal_tree(n)
     while True:
-        tree = reduce_columns(tree, _column_bitsets(d, x, y))
+        tree = reduce_columns(tree, _column_bitsets(d, dt, x, y))
         if tree is None:
             return None
         order = frontier(tree)
-        if len(x) == n * (n - 1) // 2:  # round 1 at n <= 9; later rounds take <= 4n pairs
+        # round 1 took every pair; above n = 9, n-1 and 4n are fewer
+        if len(x) == n * (n - 1) // 2:
             return order, tree
         s = np.array(order)
         D = d[np.ix_(s, s)]
         i, j = np.nonzero(_breaks(D) | _breaks(D.T))
+        del D  # an n^2 copy: not held through the next round's reduction
         if not len(i):
             return order, tree
         a, b = s[i[:k]], s[j[:k]]

@@ -4,9 +4,13 @@ which the other CLI tests only read back through a parser."""
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
-from robinson.cli import main
+from robinson.cli import build_parser, main
 
 FILES = {
     "chain.matrix": "3\n0 1 2\n1 0 1\n2 1 0\n",
@@ -196,3 +200,54 @@ def test_golden_output(tmp_path, capsys, monkeypatch, case):
     code, text, json_text = GOLDEN[case]
     assert run_case(tmp_path, capsys, monkeypatch, case) == (code, text)
     assert run_case(tmp_path, capsys, monkeypatch, case, "--json") == (code, json_text)
+
+
+def test_one_process_runs_a_mixed_sequence(tmp_path, capsys, monkeypatch):
+    # main() shares one parser across calls: every case, in text and --json
+    # in a seeded mixed order, with a usage error and a help request after
+    # each, gives its golden output, and the error and help text equal
+    # those of a parser built fresh
+    def exits(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    fresh = build_parser.__wrapped__().parse_args
+    usage_argv, help_argv = ["orient", "star"], ["assign", "star", "--help"]
+    usage, help_ = exits(fresh, usage_argv), exits(fresh, help_argv)
+    assert usage[0] == 2 and usage[1].err.startswith("usage: robinson orient star")
+    assert help_[0] == 0 and help_[1].out.startswith("usage: robinson assign star")
+    runs = [(case, flags) for case in CASES for flags in ((), ("--json",))] * 2
+    random.Random(19).shuffle(runs)
+    for case, flags in runs:
+        code, text, json_text = GOLDEN[case]
+        got = run_case(tmp_path, capsys, monkeypatch, case, *flags)
+        assert got == (code, json_text if flags else text), (case, flags)
+        assert exits(main, usage_argv) == usage
+        assert exits(main, help_argv) == help_
+
+
+def test_shared_parser_parses_alike_across_threads():
+    argvs = [[*flags, *CASES[case].split()] for case in sorted(CASES) for flags in ((), ("--json",))]
+    want = [vars(build_parser.__wrapped__().parse_args(argv)) for argv in argvs]
+    parser = build_parser()
+    mismatches = []
+
+    def work():
+        for _ in range(10):
+            for argv, ns in zip(argvs, want):
+                if vars(parser.parse_args(argv)) != ns:
+                    mismatches.append(argv)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

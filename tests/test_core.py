@@ -71,6 +71,25 @@ class TestConstruction:
         assert sym({(0, 1): 1}, 2).is_symmetric
         assert not ASYM3.is_symmetric
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([[0.0, 1.0], [2.0, 0.0]]),
+            lambda: np.array([[0, 1], [2, 0]]),
+            lambda: [[0, 1], [2, 0]],
+        ],
+        ids=["float-array", "int-array", "list"],
+    )
+    def test_matrix_is_a_read_only_copy(self, make):
+        given = make()
+        space = DissimilaritySpace(given)
+        assert space.d.dtype == float and not space.d.flags.writeable
+        assert not np.shares_memory(space.d, np.asarray(given))
+        given[0][1] = 7
+        assert space.d.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+        sub = space.restrict([1, 0])
+        assert not sub.d.flags.writeable and not np.shares_memory(sub.d, space.d)
+
     def test_restrict_relabels(self):
         sub = ASYM3.restrict([2, 0])
         assert sub.d.tolist() == [[0.0, 0.5], [2.0, 0.0]]

@@ -119,7 +119,7 @@ class TestSegmentColumns:
         for space in kernel_spaces():
             n = space.n
             x, y = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-            cols = _segment_columns(space.d, x, y)
+            cols = _segment_columns(space.d, np.ascontiguousarray(space.d.T), x, y)
             assert cols.shape == (len(x), n)
             for row, a, b in zip(cols, x, y):
                 assert set(np.flatnonzero(row)) == segment(space, int(a), int(b)).members
@@ -131,9 +131,9 @@ class TestSegmentColumns:
         # the failing column is built
         built = []
 
-        def counted(d, x, y):
+        def counted(d, dt, x, y):
             built.append(len(x))
-            return _segment_columns(d, x, y)
+            return _segment_columns(d, dt, x, y)
 
         monkeypatch.setattr(robinson.recognition, "_segment_columns", counted)
         n = 300
@@ -349,9 +349,9 @@ class TestVerifyAndRefine:
         # read, in read order, gives from the universal tree
         built = []
 
-        def recorded(d, x, y):
+        def recorded(d, dt, x, y):
             built.extend(zip(x.tolist(), y.tolist()))
-            return _column_bitsets(d, x, y)
+            return _column_bitsets(d, dt, x, y)
 
         monkeypatch.setattr(robinson.recognition, "_column_bitsets", recorded)
         multi = 0
@@ -366,6 +366,31 @@ class TestVerifyAndRefine:
                 assert repr(got[1]._root) == repr(want._root), trial
                 assert got[0] == frontier(want), trial
         assert multi > 50
+
+    def test_anchor_round_decides_general_position(self, monkeypatch, reductions):
+        # distinct line distances make each segment exactly the interval
+        # between its ends, and the anchor is the least of 0, 1, 2 that is
+        # not an end of the planted order: its n-1 segments pin the order,
+        # and the check finds no breaking pair
+        built = []
+
+        def recorded(d, dt, x, y):
+            built.append(list(zip(x.tolist(), y.tolist())))
+            return _column_bitsets(d, dt, x, y)
+
+        monkeypatch.setattr(robinson.recognition, "_column_bitsets", recorded)
+        rng = random.Random(83)
+        ends = 0
+        for n in range(10, 61):
+            space, perm = planted_two_way_space(rng, n)
+            a = min({0, 1, 2} - {perm[0], perm[-1]})
+            ends += a > 0
+            del built[:], reductions[:]
+            res = recognize_two_way(space)
+            assert res is not None and is_two_way_order(space, res[0]), n
+            assert built == [[(min(a, t), max(a, t)) for t in range(n) if t != a]], n
+            assert list(map(len, reductions)) == [n - 1], n
+        assert ends == 4  # spaces whose planted order starts or ends at 0
 
     def test_small_spaces_take_one_round(self, reductions):
         # n(n-1)/2 <= 4n for n <= 9: the first round reduces every column
