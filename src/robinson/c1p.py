@@ -79,15 +79,6 @@ def _make_p(children: list[_Node]) -> _Node:
     return _Node(P, children)
 
 
-def _make_q(children: list[_Node]) -> _Node:
-    # a Q-node with two children is equivalent to a P-node with two children
-    if len(children) == 1:
-        return children[0]
-    if len(children) == 2:
-        return _Node(P, children)
-    return _Node(Q, children)
-
-
 @dataclass(frozen=True)
 class BinaryMatrix:
     """A rectangular 0/1 matrix, stored by rows."""
@@ -219,7 +210,10 @@ def _reduce_p_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
         inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
         if len(payloads) == 2:
             inner.extend(reversed(payloads[1]))
-        mid = _make_q(inner)
+        # a partial payload has two or more nodes, and a partial child comes
+        # with a full sibling or a second partial one (alone it would hold
+        # all of s, and the root would lie below): three or more nodes
+        mid = _Node(Q, inner)
     if not empties:
         return mid
     node.children = empties + [mid]

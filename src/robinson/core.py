@@ -98,7 +98,8 @@ class Tree:
     Only when it falls short does checked_edges name the first self-loop,
     range fault or duplicate in edge order; if there is none, the edges
     contain a cycle.  The walk's order and parent array (-1 at vertex 0)
-    are kept for find_centroid, orient_all_robinson and the premise check.
+    are kept for find_centroid, orient_all_robinson, count_xi and the
+    premise check.
     """
 
     n: int
@@ -400,35 +401,29 @@ def is_two_way_order(space: DissimilaritySpace, order: Sequence[int]) -> bool:
     return _one_way_ok(space.d, order) and _one_way_ok(space.d, list(reversed(order)))
 
 
-def reach_sizes(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Per vertex, how many vertices it reaches along the arcs ``adj``
-    (itself excluded).  ``adj`` is an oriented tree's out- or in-adjacency,
-    so reachable sets below a vertex are disjoint.  O(n) post-order DFS.
-    """
-    size = [-1] * n
-    for root in range(n):
-        if size[root] >= 0:
-            continue
-        stack = [(root, False)]
-        while stack:
-            x, done = stack.pop()
-            if done:
-                size[x] = sum(1 + size[y] for y in adj[x])
-            elif size[x] < 0:
-                stack.append((x, True))
-                for y in adj[x]:
-                    if size[y] < 0:
-                        stack.append((y, False))
-    return size
-
-
 def count_xi(ot: OrientedTree) -> int:
     """Number of directed paths of length >= 1 (= ordered reachable pairs).
 
-    Simple paths in a tree are unique, so this is sum over vertices of the
-    out-reachable set size, computed in O(n).
+    Simple paths in a tree are unique, so this is the sum over vertices of
+    the out-reachable set size, read in O(n) from the tree's walk from
+    vertex 0: in reverse walk order, a vertex whose arc points down from
+    its parent adds itself and what it reaches to its parent; then in walk
+    order, a vertex whose arc points up to its parent adds the parent and
+    all that the parent reaches.
     """
-    return sum(reach_sizes(ot.tree.n, ot.out_adjacency))
+    order, parent = ot.tree._order, ot.tree._parent
+    down = [False] * ot.tree.n
+    for u, v in ot.arcs:
+        if parent[v] == u:
+            down[v] = True
+    reach = [0] * ot.tree.n
+    for x in order[:0:-1]:
+        if down[x]:
+            reach[parent[x]] += 1 + reach[x]
+    for x in order[1:]:
+        if not down[x]:
+            reach[x] += 1 + reach[parent[x]]
+    return sum(reach)
 
 
 def failing_pair(space: DissimilaritySpace, tree: Tree | OrientedTree) -> Optional[tuple[int, int]]:

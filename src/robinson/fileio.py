@@ -56,7 +56,7 @@ def _parse_rows(lines: list[str], dtype: type, width: int, what: str, edges=Fals
     pass.  Only when that fails are the rows parsed one at a time, to name
     the first one that does not parse or has the wrong length."""
     if not lines:
-        return np.empty(0, dtype)  # refused or read as no rows, like an empty list
+        return np.empty((0, width), dtype)  # refused or read as no rows, like an empty list
     try:
         table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
     except ValueError:

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import uniform_orient
 from .core import DissimilaritySpace, OrientedTree, Tree
 from .errors import InputError, PreconditionError, SizeGuardError
@@ -111,14 +113,15 @@ def _guarded_rows(space: DissimilaritySpace) -> list[list[float]]:
 
 def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
     """The petal partition of N(x) in t.  O(deg(x)^2): only the submatrix
-    on x and its neighbors is read."""
+    on x and its neighbors is read, in one gather from d.  Tree has already
+    checked that every neighbor lies in 0..n-1, so only x is checked here."""
     _require_symmetric(space)
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if not 0 <= x < t.n:
         raise InputError(f"center {x} out of range")
-    local = (x,) + t.adjacency[x]  # local index i is vertex local[i]; x is 0
-    rows = space.restrict(local).d.tolist()
+    local = [x, *t._adj[x]]  # local index i is vertex local[i]; x is 0
+    rows = space.d[np.ix_(local, local)].tolist()
     groups = [
         tuple(sorted(local[i] for i in g))
         for g in _petal_closure(rows, 0, range(1, len(local)))
@@ -169,10 +172,8 @@ def orient_star(
     """Optimal compatible orientation of a star: whole petals in or out,
     the In total k chosen by the balanced subset-sum over petal sizes.
     Each leaf-center arc is a path and every In leaf reaches every Out
-    leaf, so xi = (n-1) + k*(n-1-k)."""
-    _require_symmetric(space)
-    if space.n != t.n:
-        raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
+    leaf, so xi = (n-1) + k*(n-1-k).  petals checks symmetry, the sizes
+    and the center's range."""
     if not t.is_star(center):
         raise InputError(f"tree is not a star centered at {center}")
     n = t.n

@@ -29,10 +29,9 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
     one-way-Robinson.  Refused above PREMISE_MAX_POINTS points.
 
     core.failing_pair over the undirected tree: core._tree_breaks tests
-    each ordered pair once, by the lemma of core._breaks, in O(n^2).
+    each ordered pair once, by the lemma of core._breaks, in O(n^2); it
+    also checks that the sizes agree, after the guard.
     """
-    if space.n != t.n:
-        raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if t.n > PREMISE_MAX_POINTS:
         raise SizeGuardError(
             f"premise verification of {t.n} points exceeds the limit of {PREMISE_MAX_POINTS}"

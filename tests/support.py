@@ -33,7 +33,7 @@ from robinson.c1p import (
     reduce_columns,
     universal_tree,
 )
-from robinson.core import _one_way_ok, reach_sizes
+from robinson.core import _one_way_ok
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
 from robinson.uniform_orient import _subset_sum, optimal_partition_of_neighbors
@@ -301,6 +301,28 @@ def maximal_path_check(space: DissimilaritySpace, ot: OrientedTree) -> bool:
     suffice, but a pair is tested again for every maximal path holding it."""
     rows = space.d.tolist()
     return all(_one_way_ok(rows, p) for p in maximal_directed_paths(ot))
+
+
+def reach_sizes(n: int, adj) -> list[int]:
+    """Per vertex, how many vertices it reaches along the arcs ``adj``
+    (itself excluded).  ``adj`` is an oriented tree's out- or in-adjacency,
+    so reachable sets below a vertex are disjoint.  O(n) post-order DFS of
+    its own, the reference for count_xi, which reads the tree's walk."""
+    size = [-1] * n
+    for root in range(n):
+        if size[root] >= 0:
+            continue
+        stack = [(root, False)]
+        while stack:
+            x, done = stack.pop()
+            if done:
+                size[x] = sum(1 + size[y] for y in adj[x])
+            elif size[x] < 0:
+                stack.append((x, True))
+                for y in adj[x]:
+                    if size[y] < 0:
+                        stack.append((y, False))
+    return size
 
 
 def has_central_vertex(ot: OrientedTree) -> int | None:

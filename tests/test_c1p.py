@@ -22,7 +22,8 @@ from robinson import (
     frontier,
     test_c1p,
 )
-from robinson.c1p import Q, reduce_columns, universal_tree
+import robinson.c1p
+from robinson.c1p import Q, _reduce_p_root, reduce_columns, universal_tree
 from robinson.oracle import brute_c1p
 from support import (
     enumerate_frontiers,
@@ -51,6 +52,23 @@ class TestBasics:
         m = matrix_from_columns(3, [{0, 1}, {1, 2}, {0, 2}])
         assert test_c1p(m) is None
         assert brute_c1p(m) is None
+
+    def test_three_partial_children_impossible(self, monkeypatch):
+        # three pair columns make the root P(P(0,1), P(2,3), P(4,5)); the
+        # last column meets all three pairs in one row each
+        calls = []
+
+        def recorded(node, hits, s):
+            result = _reduce_p_root(node, hits, s)
+            partial = sum(0 < h != c.mask for c, h in zip(node.children, hits))
+            calls.append((s, partial, result))
+            return result
+
+        monkeypatch.setattr(robinson.c1p, "_reduce_p_root", recorded)
+        m = matrix_from_columns(6, [{0, 1}, {2, 3}, {4, 5}, {1, 2, 4}])
+        assert test_c1p(m) is None
+        assert brute_c1p(m) is None
+        assert calls[-1] == (0b10110, 3, None)
 
     def test_all_ones_universal(self):
         m = BinaryMatrix([[1, 1], [1, 1], [1, 1]])

@@ -111,7 +111,7 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, message", [
-        ("0\n", "dissimilarity matrix must be square, got shape (0,)"),
+        ("0\n", "dissimilarity space needs at least one point"),
         ("2\n0 1\n1 0 5\n", "matrix file: row of length 3, expected 2"),
         ("2\n0\n1 0\n", "matrix file: row of length 1, expected 2"),
         ("2\n0 1\n1 x\n", "matrix file: bad row '1 x'"),
@@ -324,6 +324,17 @@ class TestCommands:
         code, out, _ = run(capsys, "orient", "path", str(path), "--order", "0,1,2")
         assert code == 0
         assert parse_text(out)["xi"] == "3"
+
+    @pytest.mark.parametrize("order, message", [
+        ("0,x,2", "bad order '0,x,2'"),
+        ("0,0,1", "order must be a permutation of all vertices"),
+        ("0,1", "order must be a permutation of all vertices"),
+        ("0,1,3", "order must be a permutation of all vertices"),
+    ], ids=["non-integer", "repeat", "short", "out-of-range"])
+    def test_orient_path_bad_order(self, tmp_path, capsys, order, message):
+        path = tmp_path / "m.matrix"
+        write_matrix(CHAIN3, path)
+        assert run(capsys, "orient", "path", str(path), "--order", order) == (2, "", f"error: {message}\n")
 
     def test_check_says_no_on_incompatible(self, tmp_path, capsys):
         mpath, opath = tmp_path / "m.matrix", tmp_path / "t.orient"

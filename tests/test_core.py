@@ -26,10 +26,14 @@ from support import (
     CYCLE,
     maximal_directed_paths,
     maximal_path_check,
+    path_tree,
     random_space,
     random_tree,
+    reach_sizes,
     reachability,
     reference_tree_faults,
+    star_tree,
+    tree_from_pruefer,
     tree_path,
     triple_one_way,
     triple_two_way,
@@ -66,6 +70,11 @@ class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
             DissimilaritySpace([[0, 1, 2], [1, 0, 1]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(InputError, match="dissimilarity values must be finite"):
+            DissimilaritySpace([[0, value], [1, 0]])
 
     def test_symmetry_predicate(self):
         assert sym({(0, 1): 1}, 2).is_symmetric
@@ -112,6 +121,11 @@ class TestConstruction:
             Tree(3, [(0, 1), (1, 1)])  # self-loop
         with pytest.raises(InputError):
             Tree(4, [(0, 1), (1, 2), (0, 2)])  # cycle (and disconnected)
+
+    @pytest.mark.parametrize("arcs", [[(0, 1)], [(0, 1), (1, 2), (2, 1)]], ids=["too-few", "too-many"])
+    def test_oriented_tree_rejects_wrong_arc_count(self, arcs):
+        with pytest.raises(InputError, match=f"expected 2 arcs, got {len(set(arcs))}"):
+            OrientedTree(Tree(3, [(0, 1), (1, 2)]), arcs)
 
     def test_oriented_tree_aligns_arcs(self):
         t = Tree(3, [(0, 1), (1, 2)])
@@ -193,6 +207,11 @@ class TestIsOneWayOrder:
         with pytest.raises(InputError):
             is_one_way_order(constant_space(3), [0, 1, 0])
 
+    @pytest.mark.parametrize("check", [is_one_way_order, is_two_way_order])
+    def test_rejects_order_longer_than_space(self, check):
+        with pytest.raises(InputError, match="order of length 4 over a space of 3 points"):
+            check(constant_space(3), [0, 1, 2, 0])
+
 
 class TestIsTwoWayOrder:
     def test_two_points(self):
@@ -242,6 +261,45 @@ class TestCountXi:
         t = Tree(5, [(0, i) for i in range(1, 5)])
         ot = OrientedTree(t, [(1, 0), (2, 0), (0, 3), (0, 4)])
         assert count_xi(ot) == 8
+
+    @staticmethod
+    def away_from(t, root):
+        """Reversal flags orienting every edge of t away from root."""
+        depth = {root: 0}
+        queue = [root]
+        for x in queue:
+            for y in t.adjacency[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        return [depth[u] > depth[v] for u, v in t.edges]
+
+    def directions(self, rng, t):
+        """Random flags and their complement, all forward and all reversed,
+        and every edge away from and toward a random vertex."""
+        m = len(t.edges)
+        flags = [rng.random() < 0.5 for _ in range(m)]
+        away = self.away_from(t, rng.randrange(t.n))
+        return [flags, [not f for f in flags], [False] * m, [True] * m, away, [not f for f in away]]
+
+    def test_matches_reference_reach_sizes(self):
+        rng = random.Random(29)
+        trees = [Tree(1, [])]
+        for n in range(2, 41):
+            trees += [star_tree(n, rng.randrange(n)), path_tree(rng.sample(range(n), n))]
+            trees += [random_tree(rng, n) for _ in range(5)]
+        for t in trees:
+            for flags in self.directions(rng, t):
+                ot = OrientedTree.from_reversed(t, flags)
+                assert count_xi(ot) == sum(reach_sizes(t.n, ot.out_adjacency))
+
+    def test_matches_reference_on_a_large_pruefer_tree(self):
+        rng = random.Random(31)
+        n = 50_000
+        t = tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+        for flags in self.directions(rng, t):
+            ot = OrientedTree.from_reversed(t, flags)
+            assert count_xi(ot) == sum(reach_sizes(n, ot.out_adjacency))
 
     def test_matches_reachability_size(self):
         rng = random.Random(7)

@@ -9,6 +9,7 @@ import pytest
 
 from robinson import BinaryMatrix, DissimilaritySpace, InputError, SizeGuardError, Tree
 from robinson.oracle import (
+    C1P_MAX_ROWS,
     brute_c1p,
     brute_optimal_orientation,
     brute_robinson_subset,
@@ -75,6 +76,11 @@ class TestBruteC1p:
     def test_all_ones(self):
         assert brute_c1p(BinaryMatrix([[1], [1], [1]])) == (0, 1, 2)
 
+    def test_size_guard(self):
+        assert brute_c1p(BinaryMatrix([[1]] * C1P_MAX_ROWS)) == tuple(range(C1P_MAX_ROWS))
+        with pytest.raises(SizeGuardError):
+            brute_c1p(BinaryMatrix([[1]] * (C1P_MAX_ROWS + 1)))
+
 
 class TestBruteRobinsonSubset:
     def test_kappa_equals_n(self):
@@ -95,6 +101,14 @@ class TestBruteRobinsonSubset:
         space = random_space(rng, 40, values=[1.0, 2.0], symmetric=True)
         with pytest.raises(SizeGuardError):
             brute_robinson_subset(space, 20, max_subsets=1000)
+
+    @pytest.mark.parametrize("kappa", [-1, 4])
+    def test_kappa_out_of_range(self, kappa):
+        with pytest.raises(InputError, match=f"kappa={kappa} out of range for n=3"):
+            brute_robinson_subset(constant_space(3), kappa)
+
+    def test_kappa_zero_is_the_empty_subset(self):
+        assert brute_robinson_subset(constant_space(3), 0) == ()
 
     def test_negative_budget_is_malformed(self):
         # checked before kappa's range and before the size guard

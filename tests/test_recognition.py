@@ -62,6 +62,11 @@ class TestSegment:
         with pytest.raises(InputError):
             segment(CHAIN3, 1, 1)
 
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, 3)])
+    def test_anchor_out_of_range_rejected(self, x, y):
+        with pytest.raises(InputError, match=rf"segment anchors \({x}, {y}\) out of range"):
+            segment(CHAIN3, x, y)
+
 
 def assert_tensor_matches_segment(space):
     """Every (x, y) slice of the membership tensor holds exactly S(x, y)."""

@@ -63,6 +63,24 @@ class TestDimacs:
         with pytest.raises(InputError):
             parse_dimacs("p cnf 2 1\n1 2 5 0\n")
 
+    def test_missing_final_zero_tolerated(self):
+        assert parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 -3\n").clauses == ((1, 2, 3), (-1, -2, -3))
+
+    def test_rejects_clause_count_mismatch(self):
+        with pytest.raises(InputError, match="header promises 2 clauses, found 1"):
+            parse_dimacs("p cnf 3 2\n1 2 3 0\n")
+
+    def test_rejects_no_variables(self):
+        with pytest.raises(InputError, match="formula needs at least one variable"):
+            Cnf3(0, [])
+
+    @pytest.mark.parametrize("assignment", [[True, False], [True] * 4], ids=["short", "long"])
+    def test_rejects_assignment_of_wrong_length(self, assignment):
+        with pytest.raises(InputError, match="assignment must cover all variables"):
+            CNF1.evaluate(assignment)
+        with pytest.raises(InputError, match="assignment must cover all variables"):
+            witness_orientation(build_orientation_instance(CNF1), assignment)
+
 
 class TestOrientationInstance:
     def test_sizes_small(self):
@@ -208,6 +226,10 @@ class TestSubsetInstance:
             with pytest.raises(InputError) as exc:
                 build(3, edges)
             assert str(exc.value) == message
+
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(InputError, match="graph needs at least one edge"):
+            build_subset_instance(SimpleGraph(3, []))
 
     def test_size_guard_before_allocation(self):
         # 2 * 2500 clone points plus one edge point: one over the limit

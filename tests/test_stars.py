@@ -150,6 +150,15 @@ class TestPetals:
         with pytest.raises(PreconditionError):
             petals(DissimilaritySpace(d), star_tree(3), 0)
 
+    @pytest.mark.parametrize(
+        "n, center, message",
+        [(5, 0, "space has 4 points but tree has 5 vertices"), (4, 4, "center 4 out of range")],
+        ids=["size-mismatch", "center-out-of-range"],
+    )
+    def test_bad_inputs_rejected(self, n, center, message):
+        with pytest.raises(InputError, match=message):
+            petals(constant_space(4), star_tree(n), center)
+
     def test_partition_invariant_under_traversal_order(self):
         rng = random.Random(3)
         for _ in range(40):

@@ -115,6 +115,13 @@ class TestVerifyAllPathsRobinson:
                            f"the limit of {PREMISE_MAX_POINTS}"):
             verify_all_paths_robinson(constant_space(n), path)
 
+    def test_size_guard_before_size_mismatch(self):
+        # the guard is checked first; failing_pair owns the size check
+        n = PREMISE_MAX_POINTS + 1
+        path = Tree(n, [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(SizeGuardError):
+            verify_all_paths_robinson(constant_space(3), path)
+
 
 class TestFindCentroid:
     def test_path_five(self):
@@ -202,6 +209,15 @@ class TestOptimalPartition:
     def test_rejects_oversized_weight(self):
         with pytest.raises(InputError):
             optimal_partition_of_neighbors([7], 5)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([2, 0], "component weight 0 must be >= 1"), ([2, 3], "weights sum to 5, more than n-1=4")],
+        ids=["weight-below-one", "sum-past-n-1"],
+    )
+    def test_rejects_bad_weights(self, weights, message):
+        with pytest.raises(InputError, match=message):
+            optimal_partition_of_neighbors(weights, 5)
 
 
 class TestOrientAllRobinson:
@@ -295,6 +311,16 @@ class TestOrientAllRobinson:
         with pytest.raises(PreconditionError):
             orient_all_robinson(space, t, verify_premise=True)
         orient_all_robinson(space, t)  # caller's promise: no check, no error
+
+    @pytest.mark.parametrize(
+        "space, message",
+        [(constant_space(4), "space has 4 points but tree has 5 vertices"),
+         (None, "premise verification needs the dissimilarity space")],
+        ids=["size-mismatch", "no-space"],
+    )
+    def test_bad_inputs_rejected(self, space, message):
+        with pytest.raises(InputError, match=message):
+            orient_all_robinson(space, path_tree([0, 1, 2, 3, 4]), verify_premise=True)
 
     def test_space_optional_without_verification(self):
         t = path_tree([0, 1, 2, 3, 4])
