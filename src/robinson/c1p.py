@@ -2,16 +2,17 @@
 
 Booth-Lueker style template reduction, one column at a time.  A column is
 an int bitset over the rows, and every node carries its leaf set as an int
-mask, so a child is classified empty, full or partial by one AND.  A Q-node
-also keeps the prefix unions of its children's masks, so the first and last
-of its children that a column meets are found by binary search: passing
-down through a Q-node of k children, or finding that a column already is a
-full, contiguous run under a Q-node root and leaving it as it is, costs
-O(log k) big-int operations.  A P-node on the way down is read child by
-child, and a column that changes the tree also pays for its root's children
-and the chain of partial nodes below them.  Everything is plain loops: no
-recursion, and no process-global state such as the recursion limit is
-touched.
+mask, so a child is classified empty, full or partial by one AND.  Every
+internal node also keeps the prefix unions of its children's masks, so
+every internal node is passed by binary search on the way down, and the
+first and last of a Q-node's children that a column meets are found the
+same way: passing down through a node of k children, or finding that a
+column already is a full, contiguous run under a Q-node root and leaving
+it as it is, costs O(log k) big-int operations.  A column that changes the
+tree also pays for one split of a P-node root's children into empty, full
+and partial ones, and for the chain of partial nodes below the root.
+Everything is plain loops: no recursion, and no process-global state such
+as the recursion limit is touched.
 
 A P-node's children may be permuted arbitrarily, a Q-node's children may
 only be reversed.  The frontier (leaves left to right) of any arrangement
@@ -31,8 +32,6 @@ LEAF = "leaf"
 P = "P"
 Q = "Q"
 
-_EMPTY, _FULL, _PARTIAL = 0, 1, 2
-
 
 def _unions(start: int, nodes: list["_Node"]) -> list[int]:
     """`start`, then `start` OR-ed with each node's mask in turn."""
@@ -46,10 +45,11 @@ def _unions(start: int, nodes: list["_Node"]) -> list[int]:
 class _Node:
     """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
     construction: the templates rearrange a subtree but never change the
-    leaves under a node, so the mask never goes stale.  A Q-node also
-    carries `pre`, the prefix unions of its children's masks (`pre[i]` is
-    the union of the first i), kept in step with every splice of its
-    children; P-nodes and leaves carry None."""
+    leaves under a node, so the mask never goes stale.  An internal node
+    also carries `pre`, the prefix unions of its children's masks (`pre[i]`
+    is the union of the first i).  A child is only ever replaced by a node
+    with the same leaf set, and a Q-node's splice rebuilds the unions it
+    shifts, so `pre` never goes stale either; leaves carry None."""
 
     __slots__ = ("kind", "children", "row", "mask", "pre")
 
@@ -58,14 +58,11 @@ class _Node:
         self.children: list[_Node] = children if children is not None else []
         self.row = row
         self.pre: Optional[list[int]] = None
-        if kind == Q:
+        if kind == LEAF:
+            self.mask = 1 << row
+        else:
             self.pre = _unions(0, self.children)
             self.mask = self.pre[-1]
-        else:
-            mask = 1 << row if kind == LEAF else 0
-            for c in self.children:
-                mask |= c.mask
-            self.mask = mask
 
     def __repr__(self) -> str:  # debugging aid
         if self.kind == LEAF:
@@ -103,7 +100,7 @@ class BinaryMatrix:
         object.__setattr__(self, "data", rows)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PQTree:
     """Result of a successful C1P reduction; frontier set = valid row orders."""
 
@@ -124,79 +121,86 @@ def frontier(t: PQTree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _states(children: list[_Node], hits: list[int]) -> list[int]:
-    """Classify each child by its pertinent leaves (`hits`: mask & column)."""
-    return [_EMPTY if not h else _FULL if h == c.mask else _PARTIAL for c, h in zip(children, hits)]
+def _split(children: list[_Node], s: int) -> tuple[list[_Node], list[_Node], list[_Node]]:
+    """The empty, full and partial children against column s, each in order."""
+    empties: list[_Node] = []
+    fulls: list[_Node] = []
+    partials: list[_Node] = []
+    for c in children:
+        h = c.mask & s
+        (fulls if h == c.mask else partials if h else empties).append(c)
+    return empties, fulls, partials
 
 
-def _split(children: list[_Node], states: list[int]) -> tuple[list[_Node], list[_Node]]:
-    """The empty children and the full children, each in order."""
-    empties = [c for c, st in zip(children, states) if st == _EMPTY]
-    fulls = [c for c, st in zip(children, states) if st == _FULL]
-    return empties, fulls
-
-
-def _match_q(children: list[_Node], states: list[int], inner: list[_Node]) -> Optional[list[_Node]]:
-    """Read a Q-node's children as empties, then at most one partial (whose
-    payload is `inner`), then fulls; return the flattened empty-to-full
-    payload, or None."""
-    payload: list[_Node] = []
-    i, n = 0, len(states)
-    while i < n and states[i] == _EMPTY:
-        payload.append(children[i])
-        i += 1
-    if i < n and states[i] == _PARTIAL:
-        payload.extend(inner)
-        i += 1
-    while i < n and states[i] == _FULL:
-        payload.append(children[i])
-        i += 1
-    return payload if i == n else None
+def _run(node: _Node, s: int) -> Optional[tuple[int, int]]:
+    """The first and last children of `node` that meet s, or None when a
+    child strictly between them is not full.  With t the node's part of s,
+    the first is one below the least i with pre[i] meeting t, the last one
+    below the least j with pre[j] holding all of t, and the children
+    between are full iff their union pre[hi] ^ pre[lo + 1] lies in s: O(log
+    k) big-int operations on k children."""
+    pre, t = node.pre, node.mask & s
+    lo = bisect_left(pre, True, 1, key=lambda u: u & t != 0) - 1
+    hi = bisect_left(pre, True, lo + 1, key=lambda u: u & t == t) - 1
+    between = pre[hi] ^ pre[lo + 1] if lo < hi else 0  # nothing between when lo == hi
+    return (lo, hi) if between & s == between else None
 
 
 def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
     """Apply the templates to a partial node below the pertinent root.
 
-    Returns the node's subtree as a flat list of nodes ordered empty side
-    to full side, to be spliced into a Q-node by the caller, or None if the
-    column cannot be made consecutive.  A partial node below the root may
-    have at most one partial child, so the partial nodes form a chain: it
-    is walked down, then rebuilt bottom-up, without recursion.
+    Returns the node's subtree as a new flat list of nodes ordered empty
+    side to full side, to be spliced into a Q-node by the caller, or None if
+    the column cannot be made consecutive.  A partial node below the root
+    may have at most one partial child, so the partial nodes form a chain:
+    it is walked down, keeping each node's payload on either side of its
+    partial child's, then joined bottom-up, without recursion.
+
+    A P-node's payload is its empty children under one P-node, the partial
+    child's payload, then its full children under one P-node.  A Q-node's
+    run of children meeting s must reach one end of the node and be full at
+    that end, which fixes the orientation; only the child at the other end
+    of the run may be partial.
     """
-    chain: list[tuple[_Node, list[int]]] = []
+    chain: list[tuple[list[_Node], list[_Node]]] = []
     while True:
-        states = _states(node.children, [c.mask & s for c in node.children])
-        chain.append((node, states))
-        k = states.count(_PARTIAL)
-        if k > 1:
-            return None
-        if not k:
-            break
-        node = node.children[states.index(_PARTIAL)]
-    payload: list[_Node] = []  # of the partial child below, once there is one
-    for node, states in reversed(chain):
         if node.kind == P:
-            empties, fulls = _split(node.children, states)
-            payload = ([_make_p(empties)] if empties else []) + payload
-            if fulls:
-                payload.append(_make_p(fulls))
+            empties, fulls, partials = _split(node.children, s)
+            if len(partials) > 1:
+                return None
+            chain.append(([_make_p(empties)] if empties else [], [_make_p(fulls)] if fulls else []))
+            if not partials:
+                payload: list[_Node] = []
+                break
+            node = partials[0]
             continue
-        q = _match_q(node.children, states, payload)
-        if q is None:
-            q = _match_q(node.children[::-1], states[::-1], payload)
-        if q is None:
+        run = _run(node, s)
+        if run is None:
             return None
-        payload = q
+        lo, hi = run
+        children, last = node.children, len(node.children) - 1
+        a, b = children[lo], children[hi]
+        if hi == last and (lo == hi or b.mask & s == b.mask):
+            kids, at = children, lo  # full end on the right
+        elif lo == 0 and (lo == hi or a.mask & s == a.mask):
+            kids, at = children[::-1], last - hi  # full end on the left
+        else:
+            return None
+        c = kids[at]
+        chain.append((kids[:at], kids[at + 1 :]))
+        if c.mask & s == c.mask:
+            payload = [c]
+            break
+        node = c
+    for before, after in reversed(chain):
+        payload = before + payload + after
     return payload
 
 
-def _reduce_p_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
-    """Apply the templates at a P-node pertinent root, given each child's
-    pertinent leaves; return the replacement node (same leaf set), or None."""
-    children = node.children
-    states = _states(children, hits)
-    empties, fulls = _split(children, states)
-    partials = [c for c, st in zip(children, states) if st == _PARTIAL]
+def _reduce_p_root(node: _Node, s: int) -> Optional[_Node]:
+    """Apply the templates at a P-node pertinent root; return the
+    replacement node (same leaf set), or None."""
+    empties, fulls, partials = _split(node.children, s)
     if not partials:
         if not empties:
             return node  # entire subtree is full: already a block
@@ -214,27 +218,22 @@ def _reduce_p_root(node: _Node, hits: list[int], s: int) -> Optional[_Node]:
         # with a full sibling or a second partial one (alone it would hold
         # all of s, and the root would lie below): three or more nodes
         mid = _Node(Q, inner)
-    if not empties:
-        return mid
-    node.children = empties + [mid]
-    return node
+    return _make_p(empties + [mid])
 
 
-def _reduce_q_root(node: _Node, lo: int, s: int) -> Optional[_Node]:
-    """Apply the templates at a Q-node pertinent root whose first child
-    meeting `s` is `lo`; the node is rearranged in place, or None returned.
+def _reduce_q_root(node: _Node, s: int) -> Optional[_Node]:
+    """Apply the templates at a Q-node pertinent root; the node is
+    rearranged in place, or None returned.
 
     The children must read empties, optional partial, fulls, optional
-    partial, empties.  The last child meeting `s` is one below the least j
-    with pre[j] holding all of s, and the children strictly between the two
-    are full iff their union pre[hi] ^ pre[lo + 1] lies in s, so a column
+    partial, empties: `_run` finds the two ends of the run, so a column
     that changes nothing costs O(log k) big-int operations on k children;
     only a splice costs O(k)."""
-    children, pre = node.children, node.pre
-    hi = bisect_left(pre, True, lo + 2, key=lambda u: u & s == s) - 1
-    between = pre[hi] ^ pre[lo + 1]
-    if between & s != between:
+    run = _run(node, s)
+    if run is None:
         return None
+    lo, hi = run
+    children, pre = node.children, node.pre
     a, b = children[lo], children[hi]
     first_full, last_full = a.mask & s == a.mask, b.mask & s == b.mask
     if first_full and last_full:
@@ -257,23 +256,17 @@ def _reduce_q_root(node: _Node, lo: int, s: int) -> Optional[_Node]:
 def _reduce(root: _Node, s: int) -> Optional[_Node]:
     """Reduce the tree by one column; return the new root, or None."""
     # descend to the pertinent root, the deepest node containing all of s,
-    # keeping the index of each node among its parent's children
+    # keeping the index of each node among its parent's children; the first
+    # child meeting s is the least i with pre[i + 1] & s, and the node is
+    # the root when that child does not hold all of s
     parent, node, at = None, root, 0
     while True:
-        if node.kind == Q:
-            # the first child meeting s: the least i with pre[i + 1] & s
-            pre = node.pre
-            i = bisect_left(pre, True, 1, key=lambda u: u & s != 0) - 1
-            if pre[i + 1] & s != s:
-                replacement = _reduce_q_root(node, i, s)
-                break
-        else:
-            hits = [c.mask & s for c in node.children]
-            if s not in hits:
-                replacement = _reduce_p_root(node, hits, s)
-                break
-            i = hits.index(s)
+        pre = node.pre
+        i = bisect_left(pre, True, 1, key=lambda u: u & s != 0) - 1
+        if pre[i + 1] & s != s:
+            break
         parent, node, at = node, node.children[i], i
+    replacement = _reduce_q_root(node, s) if node.kind == Q else _reduce_p_root(node, s)
     if replacement is None or parent is None:
         return replacement
     parent.children[at] = replacement  # same leaf set, so parent.pre holds

@@ -30,7 +30,7 @@ from .errors import InputError
 VertexOrder = tuple[int, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DissimilaritySpace:
     """A set of n points with a nonnegative dissimilarity d, zero on the
     diagonal.  Symmetry is NOT required."""
@@ -54,8 +54,8 @@ class DissimilaritySpace:
             if np.any(np.diagonal(mat) != 0):
                 raise InputError("diagonal of a dissimilarity matrix must be zero")
         mat.setflags(write=False)
-        self.n = mat.shape[0]
-        self.d = mat
+        object.__setattr__(self, "n", mat.shape[0])
+        object.__setattr__(self, "d", mat)
 
     @cached_property
     def is_symmetric(self) -> bool:

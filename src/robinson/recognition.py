@@ -88,8 +88,8 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     and in d.T (core._breaks).  Both s_i and s_j lie in S(s_i, s_j), and
     the break puts s_{i+1} or s_{j-1}, which lies between them, outside it;
     so the column of (s_i, s_j) is violated.  The first 4n of them in
-    row-major (i, j) order have their columns built and reduced onto the
-    same tree.  A column already reduced is an interval of s, so each of
+    row-major (i, j) order, indexed from only the rows that hold them, have
+    their columns built and reduced onto the same tree.  A column already reduced is an interval of s, so each of
     these is new: a call builds and reduces each column at most once, and
     the loop ends when s has no breaking pair or the reducer fails.
 
@@ -128,9 +128,12 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
             return order, tree
         s = np.array(order)
         D = d[np.ix_(s, s)]
-        i, j = np.nonzero(_breaks(D) | _breaks(D.T))
+        breaks = _breaks(D) | _breaks(D.T)
         del D  # an n^2 copy: not held through the next round's reduction
-        if not len(i):
+        upto = np.cumsum(np.count_nonzero(breaks, axis=1))  # pairs in rows 0..i
+        if not upto[-1]:
             return order, tree
+        # the indices of only the leading rows that hold the first k pairs
+        i, j = np.nonzero(breaks[: np.searchsorted(upto, k) + 1])
         a, b = s[i[:k]], s[j[:k]]
         x, y = np.minimum(a, b), np.maximum(a, b)

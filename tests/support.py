@@ -424,7 +424,7 @@ def reference_reduce(root: _Node, s: int) -> _Node | None:
     if node.kind == Q:
         replacement = _reference_q_root(node, hits, s)
     else:
-        replacement = _reduce_p_root(node, hits, s)
+        replacement = _reduce_p_root(node, s)
     if replacement is None or parent is None:
         return replacement
     if replacement is not node:
@@ -465,14 +465,15 @@ def pq_to_nested(t: PQTree):
 
 def validate_pq_tree(t: PQTree) -> None:
     """Assert structural invariants: leaf coverage, node arities, and each
-    Q-node's prefix unions recomputed from its children (None elsewhere)."""
+    internal node's prefix unions recomputed from its children (None on
+    leaves)."""
     leaves: list[int] = []
     stack = [t._root]
     while stack:
         node = stack.pop()
-        if node.kind != Q and node.pre is not None:
-            raise AssertionError(f"{node.kind} node carries prefix unions")
         if node.kind == LEAF:
+            if node.pre is not None:
+                raise AssertionError(f"leaf {node.row} carries prefix unions")
             leaves.append(node.row)
         else:
             k = len(node.children)
@@ -480,12 +481,11 @@ def validate_pq_tree(t: PQTree) -> None:
                 raise AssertionError(f"P-node with {k} children")
             if node.kind == Q and k < 3:
                 raise AssertionError(f"Q-node with {k} children")
-            if node.kind == Q:
-                pre = [0]
-                for c in node.children:
-                    pre.append(pre[-1] | c.mask)
-                if node.pre != pre:
-                    raise AssertionError(f"stale prefix unions on {node!r}")
+            pre = [0]
+            for c in node.children:
+                pre.append(pre[-1] | c.mask)
+            if node.pre != pre:
+                raise AssertionError(f"stale prefix unions on {node!r}")
             stack.extend(node.children)
     if sorted(leaves) != list(range(t.num_leaves)):
         raise AssertionError("leaves are not exactly the row indices")

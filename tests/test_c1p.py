@@ -23,7 +23,7 @@ from robinson import (
     test_c1p,
 )
 import robinson.c1p
-from robinson.c1p import Q, _reduce_p_root, reduce_columns, universal_tree
+from robinson.c1p import Q, _reduce_p_root, _reduce_partial, reduce_columns, universal_tree
 from robinson.oracle import brute_c1p
 from support import (
     enumerate_frontiers,
@@ -58,9 +58,9 @@ class TestBasics:
         # last column meets all three pairs in one row each
         calls = []
 
-        def recorded(node, hits, s):
-            result = _reduce_p_root(node, hits, s)
-            partial = sum(0 < h != c.mask for c, h in zip(node.children, hits))
+        def recorded(node, s):
+            result = _reduce_p_root(node, s)
+            partial = sum(0 < c.mask & s != c.mask for c in node.children)
             calls.append((s, partial, result))
             return result
 
@@ -155,6 +155,49 @@ class TestBitsetColumns:
         validate_pq_tree(t)
         position = {r: i for i, r in enumerate(frontier(t))}
         assert all(consecutive(position, c) for c in cols)
+
+
+class TestPartialNodeBelowRoot:
+    # the last column of each matrix meets the root, a P-node, in a full
+    # leaf and one partial child, whose payload `_reduce_partial` returns
+    # flattened empty side to full side, or None when it refuses
+    @pytest.mark.parametrize(
+        "columns, partial, payload",
+        [
+            ([{0, 1}, {1, 2}, {2, 3}, {2, 3, 4}], "Q(0, 1, 2, 3)", "[0, 1, 2, 3]"),
+            ([{0, 1}, {1, 2}, {2, 3}, {0, 1, 4}], "Q(0, 1, 2, 3)", "[3, 2, 1, 0]"),
+            ([{0, 1}, {1, 2}, {2, 3}, {1, 2, 4}], "Q(0, 1, 2, 3)", None),
+            ([{0, 1, 2}, {2, 3}, {1, 4}], "Q(P(0, 1), 2, 3)", "[3, 2, 0, 1]"),
+            ([{0, 1, 2}, {2, 3}, {1, 2, 3, 4}], "Q(P(0, 1), 2, 3)", "[0, 1, 2, 3]"),
+            ([{0, 1, 2}, {2, 3, 4}, {1, 2, 3, 5}], "Q(P(0, 1), 2, P(3, 4))", None),
+            ([{0, 1}, {2, 3}, {0, 1, 2, 3}, {1, 2, 4}], "P(P(0, 1), P(2, 3))", None),
+        ],
+        ids=[
+            "q-run-at-right-end",
+            "q-run-at-left-end",
+            "q-run-at-neither-end",
+            "q-run-of-one-partial-child-at-left-end",
+            "q-run-at-right-end-partial-at-its-other-end",
+            "q-run-at-both-ends-partial-at-both",
+            "p-two-partial-children",
+        ],
+    )
+    def test_payload_or_refusal(self, monkeypatch, columns, partial, payload):
+        calls = []
+
+        def recorded(node, s):
+            result = _reduce_partial(node, s)
+            calls.append((repr(node), None if result is None else repr(result)))
+            return result
+
+        monkeypatch.setattr(robinson.c1p, "_reduce_partial", recorded)
+        m = matrix_from_columns(6, columns)
+        t = test_c1p(m)
+        assert calls[-1] == (partial, payload)
+        assert (t is None) == (brute_c1p(m) is None) == (payload is None)
+        if t is not None:
+            validate_pq_tree(t)
+            assert enumerate_frontiers(t) == valid_c1p_perms(m)
 
 
 class TestChildScanningReference:

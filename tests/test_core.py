@@ -4,6 +4,7 @@ compatibility checker."""
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestConstruction:
         assert space.d.tolist() == [[0.0, 1.0], [2.0, 0.0]]
         sub = space.restrict([1, 0])
         assert not sub.d.flags.writeable and not np.shares_memory(sub.d, space.d)
+
+    def test_space_and_pq_tree_are_frozen(self):
+        space = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        _, pq = robinson.recognize_two_way(space)
+        for obj, name in [(space, "n"), (space, "d"), (pq, "_root"), (pq, "num_leaves")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 7)
+        assert space.n == 3 and pq.num_leaves == 3
+        assert space.is_symmetric  # a cached property still caches on a frozen space
 
     def test_restrict_relabels(self):
         sub = ASYM3.restrict([2, 0])
