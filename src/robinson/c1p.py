@@ -11,6 +11,9 @@ column already is a full, contiguous run under a Q-node root and leaving
 it as it is, costs O(log k) big-int operations.  A column that changes the
 tree also pays for one split of a P-node root's children into empty, full
 and partial ones, and for the chain of partial nodes below the root.
+The templates rearrange the pertinent root in place, so the tree keeps one
+root object: a P-node root may become a Q-node, but no node's leaf set
+ever changes, so every mask and every prefix union above it still holds.
 Everything is plain loops: no recursion, and no process-global state such
 as the recursion limit is touched.
 
@@ -44,12 +47,13 @@ def _unions(start: int, nodes: list["_Node"]) -> list[int]:
 
 class _Node:
     """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
-    construction: the templates rearrange a subtree but never change the
-    leaves under a node, so the mask never goes stale.  An internal node
-    also carries `pre`, the prefix unions of its children's masks (`pre[i]`
-    is the union of the first i).  A child is only ever replaced by a node
-    with the same leaf set, and a Q-node's splice rebuilds the unions it
-    shifts, so `pre` never goes stale either; leaves carry None."""
+    construction: the templates rearrange the pertinent root in place, and
+    may turn a P-node into a Q-node, but never change the leaves under a
+    node, so the mask never goes stale.  An internal node also carries
+    `pre`, the prefix unions of its children's masks (`pre[i]` is the union
+    of the first i).  A rearranged node rebuilds the unions it changes, and
+    its parent's unions hold because its leaf set does, so `pre` never goes
+    stale either; leaves carry None."""
 
     __slots__ = ("kind", "children", "row", "mask", "pre")
 
@@ -132,18 +136,22 @@ def _split(children: list[_Node], s: int) -> tuple[list[_Node], list[_Node], lis
     return empties, fulls, partials
 
 
-def _run(node: _Node, s: int) -> Optional[tuple[int, int]]:
-    """The first and last children of `node` that meet s, or None when a
-    child strictly between them is not full.  With t the node's part of s,
-    the first is one below the least i with pre[i] meeting t, the last one
-    below the least j with pre[j] holding all of t, and the children
-    between are full iff their union pre[hi] ^ pre[lo + 1] lies in s: O(log
-    k) big-int operations on k children."""
+def _first(pre: list[int], s: int) -> int:
+    """The first child that meets s: one below the least i with pre[i]
+    meeting s."""
+    return bisect_left(pre, True, 1, key=lambda u: u & s != 0) - 1
+
+
+def _run(node: _Node, s: int, lo: int) -> Optional[int]:
+    """The last child of `node` that meets s, given the first, `lo`; or
+    None when a child strictly between them is not full.  With t the node's
+    part of s, the last is one below the least j with pre[j] holding all of
+    t, and the children between are full iff their union pre[hi] ^ pre[lo +
+    1] lies in s: O(log k) big-int operations on k children."""
     pre, t = node.pre, node.mask & s
-    lo = bisect_left(pre, True, 1, key=lambda u: u & t != 0) - 1
     hi = bisect_left(pre, True, lo + 1, key=lambda u: u & t == t) - 1
     between = pre[hi] ^ pre[lo + 1] if lo < hi else 0  # nothing between when lo == hi
-    return (lo, hi) if between & s == between else None
+    return hi if between & s == between else None
 
 
 def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
@@ -174,10 +182,10 @@ def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
                 break
             node = partials[0]
             continue
-        run = _run(node, s)
-        if run is None:
+        lo = _first(node.pre, s)
+        hi = _run(node, s, lo)
+        if hi is None:
             return None
-        lo, hi = run
         children, last = node.children, len(node.children) - 1
         a, b = children[lo], children[hi]
         if hi == last and (lo == hi or b.mask & s == b.mask):
@@ -197,51 +205,56 @@ def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
     return payload
 
 
-def _reduce_p_root(node: _Node, s: int) -> Optional[_Node]:
-    """Apply the templates at a P-node pertinent root; return the
-    replacement node (same leaf set), or None."""
+def _reduce_p_root(node: _Node, s: int) -> bool:
+    """Apply the templates at a P-node pertinent root, rearranging it in
+    place: its empty children stay, in order, beside one new node for the
+    rest, or, with no empty child, the node itself becomes the new Q-node.
+    Returns False when the column cannot be made consecutive."""
     empties, fulls, partials = _split(node.children, s)
     if not partials:
         if not empties:
-            return node  # entire subtree is full: already a block
-        mid = _make_p(fulls)
+            return True  # entire subtree is full: already a block
+        kids = empties + [_make_p(fulls)]
     else:
         if len(partials) > 2:
-            return None
+            return False
         payloads = [_reduce_partial(c, s) for c in partials]
         if any(p is None for p in payloads):
-            return None
+            return False
         inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
         if len(payloads) == 2:
             inner.extend(reversed(payloads[1]))
         # a partial payload has two or more nodes, and a partial child comes
         # with a full sibling or a second partial one (alone it would hold
         # all of s, and the root would lie below): three or more nodes
-        mid = _Node(Q, inner)
-    return _make_p(empties + [mid])
+        node.kind = P if empties else Q
+        kids = empties + [_Node(Q, inner)] if empties else inner
+    # the leaf set stays, so the node's mask and its parent's unions hold
+    node.children, node.pre = kids, _unions(0, kids)
+    return True
 
 
-def _reduce_q_root(node: _Node, s: int) -> Optional[_Node]:
-    """Apply the templates at a Q-node pertinent root; the node is
-    rearranged in place, or None returned.
+def _reduce_q_root(node: _Node, s: int, lo: int) -> bool:
+    """Apply the templates at a Q-node pertinent root whose first child
+    meeting s is `lo`, rearranging it in place; False when the column
+    cannot be made consecutive.
 
     The children must read empties, optional partial, fulls, optional
-    partial, empties: `_run` finds the two ends of the run, so a column
-    that changes nothing costs O(log k) big-int operations on k children;
-    only a splice costs O(k)."""
-    run = _run(node, s)
-    if run is None:
-        return None
-    lo, hi = run
+    partial, empties: `_run` finds the last of the run, so a column that
+    changes nothing costs O(log k) big-int operations on k children; only a
+    splice costs O(k)."""
+    hi = _run(node, s, lo)
+    if hi is None:
+        return False
     children, pre = node.children, node.pre
     a, b = children[lo], children[hi]
     first_full, last_full = a.mask & s == a.mask, b.mask & s == b.mask
     if first_full and last_full:
-        return node  # the pertinent children already form a full, contiguous run
+        return True  # the pertinent children already form a full, contiguous run
     first = [a] if first_full else _reduce_partial(a, s)
     last = [b] if last_full else _reduce_partial(b, s)
     if first is None or last is None:
-        return None
+        return False
     last.reverse()  # full side first
     node.children = children[:lo] + first + children[lo + 1 : hi] + last + children[hi + 1 :]
     # the spliced-in nodes cover exactly the leaves of the two they replace,
@@ -250,27 +263,20 @@ def _reduce_q_root(node: _Node, s: int) -> Optional[_Node]:
         pre[:lo] + _unions(pre[lo], first[:-1]) + pre[lo + 1 : hi]
         + _unions(pre[hi], last[:-1]) + pre[hi + 1 :]
     )
-    return node
+    return True
 
 
-def _reduce(root: _Node, s: int) -> Optional[_Node]:
-    """Reduce the tree by one column; return the new root, or None."""
-    # descend to the pertinent root, the deepest node containing all of s,
-    # keeping the index of each node among its parent's children; the first
-    # child meeting s is the least i with pre[i + 1] & s, and the node is
-    # the root when that child does not hold all of s
-    parent, node, at = None, root, 0
+def _reduce(node: _Node, s: int) -> bool:
+    """Reduce the tree under `node` by one column in place; False when the
+    column cannot be made consecutive."""
+    # descend to the pertinent root, the deepest node containing all of s:
+    # a node is the root when its first child meeting s does not hold all of s
     while True:
-        pre = node.pre
-        i = bisect_left(pre, True, 1, key=lambda u: u & s != 0) - 1
-        if pre[i + 1] & s != s:
+        i = _first(node.pre, s)
+        if node.pre[i + 1] & s != s:
             break
-        parent, node, at = node, node.children[i], i
-    replacement = _reduce_q_root(node, s) if node.kind == Q else _reduce_p_root(node, s)
-    if replacement is None or parent is None:
-        return replacement
-    parent.children[at] = replacement  # same leaf set, so parent.pre holds
-    return root
+        node = node.children[i]
+    return _reduce_q_root(node, s, i) if node.kind == Q else _reduce_p_root(node, s)
 
 
 def universal_tree(rows: int) -> PQTree:
@@ -279,7 +285,8 @@ def universal_tree(rows: int) -> PQTree:
 
 
 def reduce_columns(tree: PQTree, columns: Iterable[int]) -> Optional[PQTree]:
-    """Reduce the tree by the given columns, in order; the tree is consumed.
+    """Reduce the tree by the given columns, in order, in place; return the
+    tree, or None when some column cannot be made consecutive.
 
     A column is an int bitset whose bit r is set iff row r holds a 1.
     Trivial columns (at most one 1 or all rows) and repeats within the call
@@ -296,11 +303,9 @@ def reduce_columns(tree: PQTree, columns: Iterable[int]) -> Optional[PQTree]:
         if s.bit_count() <= 1 or s == full or s in seen:
             continue
         seen.add(s)
-        result = _reduce(root, s)
-        if result is None:
+        if not _reduce(root, s):
             return None
-        root = result
-    return PQTree(root, tree.num_leaves)
+    return tree
 
 
 def test_c1p(m: BinaryMatrix) -> Optional[PQTree]:

@@ -16,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import DissimilaritySpace, OrientedTree, Tree, _breaks
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, SizeGuardError
+
+# path orientation refuses larger spaces: the eta table holds an n^2
+# permuted copy of d and an n^2 mask, and the DP scans each start's window
+# in Python.  At the limit a Robinson line in label order takes 0.7-0.9 s,
+# and `robinson orient path` about 2 s with a peak of about 213 MB RSS,
+# most of it reading the text file (2-core Xeon, Python 3.11)
+MAX_POINTS = 3000
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class EtaTable:
 
 
 def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> None:
+    if space.n > MAX_POINTS:
+        raise SizeGuardError(f"path orientation of {space.n} points exceeds the limit of {MAX_POINTS}")
     if not space.is_symmetric:
         raise PreconditionError("path orientation requires a symmetric dissimilarity")
     if sorted(order) != list(range(space.n)):

@@ -7,6 +7,7 @@ exhaustive scans) so they stay independent of the library's faster paths.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Iterator
@@ -23,16 +24,7 @@ from robinson import (
     StarAssignment,
     Tree,
 )
-from robinson.c1p import (
-    LEAF,
-    P,
-    Q,
-    _Node,
-    _reduce_p_root,
-    _reduce_partial,
-    reduce_columns,
-    universal_tree,
-)
+from robinson.c1p import LEAF, P, Q, _Node, reduce_columns, universal_tree
 from robinson.core import _one_way_ok
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
@@ -391,21 +383,73 @@ def full_segment_reduction(space: DissimilaritySpace):
     return reduce_columns(universal_tree(n), columns)
 
 
-def _reference_q_root(node: _Node, hits: list[int], s: int) -> _Node | None:
+def _classes(children: list[_Node], s: int) -> str:
+    """One letter per child against column s: E(mpty), F(ull) or X (partial)."""
+    return "".join("E" if not c.mask & s else "F" if c.mask & s == c.mask else "X" for c in children)
+
+
+def _p_over(nodes: list[_Node]) -> _Node:
+    """One P-node over the nodes, or the node itself when there is one."""
+    return nodes[0] if len(nodes) == 1 else _Node(P, nodes)
+
+
+def _reference_partial(node: _Node, s: int) -> list[_Node] | None:
+    """The templates at a partial node below the pertinent root, by
+    recursion over its one partial child: its subtree as a flat list of
+    nodes, empty side to full side, or None."""
+    children = node.children
+    letters = _classes(children, s)
+    if node.kind == Q:
+        if not re.fullmatch("E*X?F*", letters):  # full end on the right, or else on the left
+            children, letters = children[::-1], letters[::-1]
+            if not re.fullmatch("E*X?F*", letters):
+                return None
+        if "X" not in letters:
+            return list(children)
+        x = letters.index("X")
+        inner = _reference_partial(children[x], s)
+        return None if inner is None else children[:x] + inner + children[x + 1 :]
+    if letters.count("X") > 1:
+        return None
+    inner = _reference_partial(children[letters.index("X")], s) if "X" in letters else []
+    if inner is None:
+        return None
+    empties = [c for c, k in zip(children, letters) if k == "E"]
+    fulls = [c for c, k in zip(children, letters) if k == "F"]
+    return ([_p_over(empties)] if empties else []) + inner + ([_p_over(fulls)] if fulls else [])
+
+
+def _reference_p_root(node: _Node, s: int) -> _Node | None:
+    """The P-node root templates, returning a new node with the same leaf
+    set (or the node itself when it is all full), or None."""
+    children = node.children
+    letters = _classes(children, s)
+    empties = [c for c, k in zip(children, letters) if k == "E"]
+    fulls = [c for c, k in zip(children, letters) if k == "F"]
+    partials = [c for c, k in zip(children, letters) if k == "X"]
+    if not partials:
+        return node if not empties else _p_over(empties + [_p_over(fulls)])
+    if len(partials) > 2:
+        return None
+    payloads = [_reference_partial(c, s) for c in partials]
+    if any(p is None for p in payloads):
+        return None
+    inner = payloads[0] + ([_p_over(fulls)] if fulls else []) + (payloads[1][::-1] if len(payloads) == 2 else [])
+    return _p_over(empties + [_Node(Q, inner)])
+
+
+def _reference_q_root(node: _Node, s: int) -> _Node | None:
     """The Q-node root templates by scanning every child's pertinent leaves:
     empties, optional partial, fulls, optional partial, empties."""
     children = node.children
-    lo = hits.index(next(filter(None, hits)))
-    hi = len(hits) - 1 - hits[::-1].index(next(filter(None, reversed(hits))))
-    if hi - lo + 1 != len(hits) - hits.count(0):
+    letters = _classes(children, s)
+    if not re.fullmatch("E*X?F*X?E*", letters):
         return None
-    if hits[lo + 1 : hi] != [c.mask for c in children[lo + 1 : hi]]:
-        return None
-    first_full, last_full = hits[lo] == children[lo].mask, hits[hi] == children[hi].mask
-    if first_full and last_full:
+    lo, hi = len(letters) - len(letters.lstrip("E")), len(letters.rstrip("E")) - 1
+    if "X" not in letters:
         return node
-    first = [children[lo]] if first_full else _reduce_partial(children[lo], s)
-    last = [children[hi]] if last_full else _reduce_partial(children[hi], s)
+    first = [children[lo]] if letters[lo] == "F" else _reference_partial(children[lo], s)
+    last = [children[hi]] if letters[hi] == "F" else _reference_partial(children[hi], s)
     if first is None or last is None:
         return None
     # a new node, so its prefix unions are built from scratch
@@ -414,17 +458,16 @@ def _reference_q_root(node: _Node, hits: list[int], s: int) -> _Node | None:
 
 def reference_reduce(root: _Node, s: int) -> _Node | None:
     """One column by the child-scanning reducer, the reference for
-    `c1p._reduce`: every node on the way down to the pertinent root, and a
-    Q-node root, is read by AND-ing the column with each child's mask."""
+    `c1p._reduce`: every node on the way down to the pertinent root, the
+    root and every partial node below it are read by AND-ing the column with
+    each child's mask, and a rearranged root is a new node spliced into its
+    parent.  No template of the library is called."""
     parent, node = None, root
     hits = [c.mask & s for c in node.children]
     while s in hits:
         parent, node = node, node.children[hits.index(s)]
         hits = [c.mask & s for c in node.children]
-    if node.kind == Q:
-        replacement = _reference_q_root(node, hits, s)
-    else:
-        replacement = _reduce_p_root(node, s)
+    replacement = _reference_q_root(node, s) if node.kind == Q else _reference_p_root(node, s)
     if replacement is None or parent is None:
         return replacement
     if replacement is not node:

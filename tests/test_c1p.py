@@ -18,6 +18,7 @@ from robinson import (
     BinaryMatrix,
     DissimilaritySpace,
     InputError,
+    PQTree,
     SizeGuardError,
     frontier,
     test_c1p,
@@ -68,7 +69,7 @@ class TestBasics:
         m = matrix_from_columns(6, [{0, 1}, {2, 3}, {4, 5}, {1, 2, 4}])
         assert test_c1p(m) is None
         assert brute_c1p(m) is None
-        assert calls[-1] == (0b10110, 3, None)
+        assert calls[-1] == (0b10110, 3, False)
 
     def test_all_ones_universal(self):
         m = BinaryMatrix([[1, 1], [1, 1], [1, 1]])
@@ -157,6 +158,37 @@ class TestBitsetColumns:
         assert all(consecutive(position, c) for c in cols)
 
 
+class TestInPlaceTemplates:
+    # the templates rearrange the pertinent root in place, so one tree, and
+    # one root object, serve the whole reduction
+    @pytest.mark.parametrize(
+        "rows, columns, path, before, after",
+        [
+            # the tree root, a P-node, meets a full leaf and a partial child
+            (3, [{0, 1}, {1, 2}], (), "P(2, P(0, 1))", "Q(0, 1, 2)"),
+            # the same P-node below the root, beside two empty leaves
+            (5, [{0, 1}, {0, 1, 2}, {1, 2}], (2,), "P(2, P(0, 1))", "Q(0, 1, 2)"),
+            # a P-node root below the tree root with an empty child keeps it
+            (5, [{0, 1, 2}, {0, 1}], (2,), "P(0, 1, 2)", "P(2, P(0, 1))"),
+        ],
+        ids=["p-root-becomes-q-at-tree-root", "p-root-becomes-q-below", "p-root-with-empties-below"],
+    )
+    def test_p_root_rearranged_in_place(self, rows, columns, path, before, after):
+        t = universal_tree(rows)
+        bits = [sum(1 << r for r in c) for c in columns]
+        for s in bits[:-1]:
+            assert reduce_columns(t, [s]) is t
+            validate_pq_tree(t)
+        node = t._root
+        for i in path:
+            node = node.children[i]
+        assert repr(node) == before
+        assert reduce_columns(t, bits[-1:]) is t
+        validate_pq_tree(t)  # every prefix union above the node still holds
+        assert repr(node) == after
+        assert enumerate_frontiers(t) == valid_c1p_perms(matrix_from_columns(rows, columns))
+
+
 class TestPartialNodeBelowRoot:
     # the last column of each matrix meets the root, a P-node, in a full
     # leaf and one partial child, whose payload `_reduce_partial` returns
@@ -229,6 +261,44 @@ class TestChildScanningReference:
                     widest = max(widest, len(lib._root.children))
         assert widest > 50
         assert 0 < failed < 24
+
+
+class TestBruteForceAfterEveryColumn:
+    def test_frontiers_are_the_valid_orders_so_far(self):
+        # planted and random matrices of at most 7 rows: after each column,
+        # the frontier sets of the library's tree and of the child-scanning
+        # reference are both exactly the orders keeping every column read so
+        # far consecutive, or the library fails and no such order exists;
+        # the library reduces the tree it is given, under one root object
+        rng = random.Random(31)
+        seen = {"root-already-q": 0, "root-turned-q": 0, "failed": 0}
+        for trial in range(160):
+            rows, cols = rng.randrange(3, 8), rng.randrange(1, 9)
+            if trial % 2:
+                m = BinaryMatrix([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+            else:
+                m = planted_c1p_matrix(rng, rows, cols)
+            lib, ref = universal_tree(rows), universal_tree(rows)._root
+            root = lib._root
+            good = set(permutations(range(rows)))
+            for column in zip(*m.data):
+                s = sum(b << r for r, b in enumerate(column))
+                good &= valid_c1p_perms(matrix_from_columns(rows, [{r for r in range(rows) if s >> r & 1}]))
+                kind = root.kind
+                result = reduce_columns(lib, [s])
+                if result is None:
+                    assert not good
+                    seen["failed"] += 1
+                    break
+                assert result is lib and lib._root is root
+                validate_pq_tree(lib)
+                assert enumerate_frontiers(lib) == good
+                seen["root-already-q"] += kind == Q
+                seen["root-turned-q"] += kind != Q == root.kind
+                if s.bit_count() > 1 and s != ref.mask:  # reduce_columns skips the others
+                    ref = reference_reduce(ref, s)
+                assert enumerate_frontiers(PQTree(ref, rows)) == good
+        assert min(seen.values()) > 10
 
 
 class TestFrontier:

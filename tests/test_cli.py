@@ -161,6 +161,19 @@ class TestExitCodes:
         assert out == ""
         assert f"refused: instance of {n} points exceeds the limit of {n - 1}" in err
 
+    def test_path_orientation_size_guard(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("breaking pairs computed")
+
+        monkeypatch.setattr(robinson.paths, "_breaks", refuse)
+        n = robinson.paths.MAX_POINTS + 1
+        path = tmp_path / "m.matrix"
+        write_constant_matrix(path, n)
+        code, out, err = run(capsys, "orient", "path", str(path), "--order", ",".join(map(str, range(n))))
+        assert code == 3
+        assert out == ""
+        assert f"refused: path orientation of {n} points exceeds the limit of {n - 1}" in err
+
     def test_verify_premise_size_guard(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("tree paths walked")
