@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -279,10 +280,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {"answer": "YES"} | fields if fields is not None else {"answer": "NO"}
     report = {k: report[k] for k in _TEXT_FORMS if k in report}
-    if args.json:
-        print(json.dumps(report))
-    else:
-        print("\n".join(f"{k}: {_TEXT_FORMS[k](v)}" for k, v in report.items()))
+    try:
+        if args.json:
+            print(json.dumps(report))
+        else:
+            print("\n".join(f"{k}: {_TEXT_FORMS[k](v)}" for k, v in report.items()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the answer still sets the exit
+        # code.  fd 1 goes to devnull so the interpreter's final flush of
+        # what is left in the buffer cannot fail at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(f"elapsed_ms: {elapsed_ms:.3f}", file=sys.stderr)
     return 0 if report["answer"] == "YES" else 1
 

@@ -24,10 +24,12 @@ from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
 # at most once, but rounds are bounded only by the number of columns.  At
-# the limit a planted YES takes 0.10-0.17 s in one round of n-1 columns,
-# most of it in the C1P reducer, a rounded planted space 0.33-0.75 s in 4-5
-# rounds, and `robinson recognize` peaks at about 108 MB RSS, set by reading
-# the text file, or 100 MB on a rounded file (2-core Xeon, Python 3.11)
+# the limit (direct calls, best of 3) a planted YES takes about 0.11 s in
+# one round of n-1 columns, most of it in the C1P reducer, a rounded planted
+# space 0.42-0.45 s in 4-5 rounds, and the comb ultrametric, the slowest
+# YES family known, 0.72 s; `robinson recognize` peaks at about 108 MB RSS,
+# set by reading the text file, or 100 MB on a rounded file (2-core Xeon,
+# Python 3.11)
 MAX_POINTS = 1500
 
 

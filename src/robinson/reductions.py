@@ -49,10 +49,15 @@ def _guard_points(total: int) -> None:
         raise SizeGuardError(f"instance of {total} points exceeds the limit of {MAX_POINTS}")
 
 
-# The vertex layouts, one formula each for the builders and the instances'
-# index methods: n variables (graph vertices), L leaves per family, m edges
-def _plus_index(n: int, L: int, i: int, k: int) -> int:
-    return 1 + n + (i - 1) * 2 * L + (k - 1)  # the minus-leaf is L places on
+def _leaves_per_family(num_clauses: int) -> int:
+    """L, the leaf count of each plus or minus family in the 3-CNF instance."""
+    return 7 * num_clauses + 2
+
+
+# The builders' vertex layouts, one formula each: n variables (graph
+# vertices), L leaves per family, m edges; vertex_roles names every index
+def _plus_index(n: int, L: int, i: int) -> int:
+    return 1 + n + (i - 1) * 2 * L  # x{i}+1; the minus family starts L places on
 
 
 def _z_index(n: int, L: int, j: int, l: int) -> int:
@@ -156,6 +161,9 @@ class OrientationInstance:
     Vertex layout: the hub first, then one selector per variable, then per
     variable its plus-leaf and minus-leaf families, then 7 clause vertices
     per clause.  vertex_roles records the readable name of each index.
+    Tree edges, in order: hub to each selector; per variable, selector to
+    each leaf of its plus family, then of its minus family; hub to each
+    clause vertex.
     """
 
     tree: Tree
@@ -164,24 +172,11 @@ class OrientationInstance:
     vertex_roles: dict[int, str]
     cnf: Cnf3
 
-    @property
-    def leaves_per_family(self) -> int:
-        return 7 * len(self.cnf.clauses) + 2
-
-    def plus_index(self, i: int, k: int) -> int:
-        return _plus_index(self.cnf.num_vars, self.leaves_per_family, i, k)
-
-    def minus_index(self, i: int, k: int) -> int:
-        return self.plus_index(i, k) + self.leaves_per_family
-
-    def z_index(self, j: int, l: int) -> int:
-        return _z_index(self.cnf.num_vars, self.leaves_per_family, j, l)
-
 
 def orientation_kappa(num_vars: int, num_clauses: int) -> int:
     """Closed-form path-count target for the 3-CNF construction."""
     n, m = num_vars, num_clauses
-    L = 7 * m + 2
+    L = _leaves_per_family(m)
     return (
         7 * m + 5 * n + 14 * n * m  # the edges themselves
         + n * L * L  # plus-to-minus leaf pairs through each selector
@@ -192,21 +187,13 @@ def orientation_kappa(num_vars: int, num_clauses: int) -> int:
     )
 
 
-def _family_sign(lit: int, literal_true: bool) -> bool:
-    """True means the minus family carries the d=1 tie for this pattern.
-
-    The minus family is tied exactly when the pattern makes the literal's
-    variable True (its plus family then reaches the hub)."""
-    return literal_true == (lit > 0)
-
-
 def build_orientation_instance(cnf: Cnf3) -> OrientationInstance:
     """The tree and {1,2} dissimilarity encoding the formula, with kappa."""
     n, m = cnf.num_vars, len(cnf.clauses)
     for c in cnf.clauses:
         if len({abs(lit) for lit in c}) != 3:
             raise InputError(f"clause {c} repeats a variable")
-    L = 7 * m + 2
+    L = _leaves_per_family(m)
     total = _z_index(n, L, m + 1, 1)  # one past the last clause vertex
     _guard_points(total)
     d = np.full((total, total), 2.0)
@@ -215,7 +202,7 @@ def build_orientation_instance(cnf: Cnf3) -> OrientationInstance:
     edges: list[tuple[int, int]] = [(0, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         roles[i] = f"x{i}"
-        plus = _plus_index(n, L, i, 1)
+        plus = _plus_index(n, L, i)
         for sign, start in (("+", plus), ("-", plus + L)):
             d[start : start + L, start : start + L] = 1.0
             edges.extend((i, v) for v in range(start, start + L))
@@ -226,7 +213,10 @@ def build_orientation_instance(cnf: Cnf3) -> OrientationInstance:
             roles[z] = f"z{j}_{l}"
             edges.append((0, z))
             for lit, lit_true in zip(clause, pattern):
-                fam = _plus_index(n, L, abs(lit), 1) + (L if _family_sign(lit, lit_true) else 0)
+                # the minus family carries the d=1 tie exactly when the
+                # pattern makes the literal's variable True (its plus family
+                # then reaches the hub)
+                fam = _plus_index(n, L, abs(lit)) + (L if lit_true == (lit > 0) else 0)
                 d[z, fam : fam + L] = 1.0
                 d[fam : fam + L, z] = 1.0
     tree = Tree(total, edges)
@@ -242,30 +232,19 @@ def witness_orientation(
     """The canonical compatible orientation encoding a satisfying
     assignment (selectors to the hub, leaf families by variable value, one
     outward clause vertex per clause), or None if the assignment does not
-    satisfy the formula."""
+    satisfy the formula.  One reversal flag per tree edge, in the order
+    OrientationInstance states."""
     cnf = inst.cnf
-    if len(assignment) != cnf.num_vars:
-        raise InputError("assignment must cover all variables")
     if not cnf.evaluate(assignment):
         return None
-    arcs: list[tuple[int, int]] = []
-    for i in range(1, cnf.num_vars + 1):
-        arcs.append((i, 0))
-        for k in range(1, inst.leaves_per_family + 1):
-            plus, minus = inst.plus_index(i, k), inst.minus_index(i, k)
-            if assignment[i - 1]:
-                arcs.append((plus, i))
-                arcs.append((i, minus))
-            else:
-                arcs.append((minus, i))
-                arcs.append((i, plus))
-    for j, clause in enumerate(cnf.clauses, start=1):
-        truths = tuple(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
-        chosen = _PATTERN_INDEX[truths]
-        for l in range(1, 8):
-            z = inst.z_index(j, l)
-            arcs.append((0, z) if l == chosen else (z, 0))
-    return OrientedTree(inst.tree, arcs)
+    L = _leaves_per_family(len(cnf.clauses))
+    flags = [True] * cnf.num_vars  # every selector points to the hub
+    for a in assignment:  # a True variable's plus leaves point in, minus out
+        flags += [a] * L + [not a] * L
+    for clause in cnf.clauses:
+        chosen = _PATTERN_INDEX[tuple(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)]
+        flags += [l != chosen for l in range(1, 8)]  # only the chosen points out
+    return OrientedTree.from_reversed(inst.tree, flags)
 
 
 @dataclass(frozen=True)
@@ -276,12 +255,6 @@ class SubsetInstance:
     kappa: int
     vertex_roles: dict[int, str]
     graph: SimpleGraph
-
-    def x_index(self, i: int, k: int) -> int:
-        return _x_index(len(self.graph.edges), i, k)
-
-    def y_index(self, j: int) -> int:
-        return _y_index(self.graph.n, len(self.graph.edges), j)
 
 
 def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
@@ -317,13 +290,9 @@ def build_assignment_instance(space: DissimilaritySpace, kappa: int) -> Oriented
     n = space.n
     if not 1 <= kappa <= n:
         raise InputError(f"kappa={kappa} out of range for n={n}")
-    tree = Tree(n, [(t, t + 1) for t in range(n - 1)])
-    arcs: list[tuple[int, int]] = []
-    for t in range(1, n):  # 1-based edge between positions t and t+1
-        if t <= kappa - 1:
-            arcs.append((t - 1, t))
-        elif (t - kappa) % 2 == 0:
-            arcs.append((t, t - 1))
-        else:
-            arcs.append((t - 1, t))
-    return OrientedTree(tree, arcs)
+    # edge t joins positions t-1 and t; from t = kappa on, every other
+    # edge is reversed
+    tree = Tree(n, [(t - 1, t) for t in range(1, n)])
+    return OrientedTree.from_reversed(
+        tree, [t >= kappa and (t - kappa) % 2 == 0 for t in range(1, n)]
+    )

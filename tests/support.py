@@ -634,3 +634,71 @@ def reference_orient_all_robinson(t: Tree) -> tuple[int, tuple[tuple[int, int], 
         child, par = (v, u) if parent[v] == u else (u, v)
         arcs.append((child, par) if head[child] in inward_heads else (par, child))
     return center, tuple(arcs), sum(size) - n + k * (n - 1 - k)
+
+
+def role_index(inst) -> dict[str, int]:
+    """A reduction instance's vertex index by role name (`vertex_roles`
+    inverted)."""
+    return {name: v for v, name in inst.vertex_roles.items()}
+
+
+# the z-pattern table restated: the truth values of a clause's three
+# literals at z{j}_1 .. z{j}_7
+Z_PATTERNS = (
+    (True, False, False),
+    (False, True, False),
+    (False, False, True),
+    (True, True, False),
+    (True, False, True),
+    (False, True, True),
+    (True, True, True),
+)
+
+
+def reference_witness_arcs(inst, assignment) -> set[tuple[int, int]] | None:
+    """The witness orientation of a 3-CNF instance as the proof states it,
+    with every vertex found by its `vertex_roles` name alone: each selector
+    x{i} points to the hub y; a True variable's plus leaves x{i}+{k} point
+    to x{i} and its minus leaves x{i}-{k} away from it, a False variable's
+    the other way round; of each clause's z{j}_{l}, the one whose pattern
+    matches the literals' truth values points away from the hub and the
+    other six to it.  None if some clause has no true literal."""
+    truths = [
+        tuple(bool(assignment[abs(lit) - 1]) == (lit > 0) for lit in clause)
+        for clause in inst.cnf.clauses
+    ]
+    if not all(any(t) for t in truths):
+        return None
+    index = role_index(inst)
+    hub = index["y"]
+    arcs = set()
+    for v, name in inst.vertex_roles.items():
+        if name == "y":
+            continue
+        if m := re.fullmatch(r"x(\d+)", name):
+            arcs.add((v, hub))
+        elif m := re.fullmatch(r"x(\d+)([+-])\d+", name):
+            i = int(m[1])
+            selector = index[f"x{i}"]
+            points_in = bool(assignment[i - 1]) == (m[2] == "+")
+            arcs.add((v, selector) if points_in else (selector, v))
+        elif m := re.fullmatch(r"z(\d+)_(\d+)", name):
+            chosen = Z_PATTERNS[int(m[2]) - 1] == truths[int(m[1]) - 1]
+            arcs.add((hub, v) if chosen else (v, hub))
+        else:
+            raise AssertionError(f"unknown role {name!r}")
+    return arcs
+
+
+def reference_assignment_arcs(n: int, kappa: int) -> list[tuple[int, int]]:
+    """The oriented assignment path on positions 0..n-1: forward along the
+    first kappa positions, then alternating, starting backward."""
+    arcs = []
+    backward = False
+    for t in range(1, n):
+        if t < kappa:
+            arcs.append((t - 1, t))
+            continue
+        backward = not backward
+        arcs.append((t, t - 1) if backward else (t - 1, t))
+    return arcs

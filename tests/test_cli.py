@@ -285,16 +285,40 @@ class TestExitCodes:
     def test_package_entry_point_exit_code(self, tmp_path):
         assert self._run_module(tmp_path, "robinson") == 1
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("space, code", [(CHAIN3, 0), (ASYM3, 1)], ids=["YES", "NO"])
+    def test_closed_stdout_keeps_answer_code(self, tmp_path, space, code, unbuffered):
+        # a reader that closes the pipe before the report is written, as
+        # `robinson recognize M | head -c 0` would
+        path = tmp_path / "m.matrix"
+        write_matrix(space, path)
+        env = self._module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "robinson", "recognize", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == code
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert "elapsed_ms" in err
+
     @staticmethod
-    def _run_module(tmp_path, module):
+    def _module_env():
+        src = str(Path(robinson.__file__).resolve().parent.parent)
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    @classmethod
+    def _run_module(cls, tmp_path, module):
         """Exit code of `python -m module recognize` on a NO matrix."""
         path = tmp_path / "m.matrix"
         write_matrix(ASYM3, path)
-        src = str(Path(robinson.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", module, "recognize", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=cls._module_env(), timeout=60,
         )
         assert parse_text(proc.stdout)["answer"] == "NO"
         return proc.returncode

@@ -29,7 +29,13 @@ from robinson.reductions import (
     parse_dimacs,
     witness_orientation,
 )
-from support import maximal_directed_paths, random_space
+from support import (
+    maximal_directed_paths,
+    random_space,
+    reference_assignment_arcs,
+    reference_witness_arcs,
+    role_index,
+)
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf3:
@@ -121,13 +127,15 @@ class TestOrientationInstance:
             ("+", "+", "-"),
             ("-", "+", "-"),
         ]
-        L = inst.leaves_per_family
+        index = role_index(inst)
+        L = 7 * 1 + 2  # leaves per family: 7 per clause plus 2
         for l, fams in enumerate(expected, start=1):
-            z = inst.z_index(1, l)
+            z = index[f"z1_{l}"]
             for i, fam in enumerate(fams, start=1):
+                other_fam = "+" if fam == "-" else "-"
                 for k in range(1, L + 1):
-                    tied = inst.minus_index(i, k) if fam == "-" else inst.plus_index(i, k)
-                    other = inst.plus_index(i, k) if fam == "-" else inst.minus_index(i, k)
+                    tied = index[f"x{i}{fam}{k}"]
+                    other = index[f"x{i}{other_fam}{k}"]
                     assert d[z, tied] == 1.0
                     assert d[z, other] == 2.0
 
@@ -161,8 +169,28 @@ class TestWitnessOrientation:
         inst = build_orientation_instance(CNF1)
         ot = witness_orientation(inst, (True, True, True))
         assert ot is not None
-        out_z = [l for l in range(1, 8) if (0, inst.z_index(1, l)) in set(ot.arcs)]
+        index = role_index(inst)
+        out_z = [l for l in range(1, 8) if (0, index[f"z1_{l}"]) in set(ot.arcs)]
         assert out_z == [7]
+
+    def test_matches_reference_from_roles(self):
+        # every assignment of 48 seeded formulas, n 3-5, m 1-3
+        rng = random.Random(29)
+        satisfied = unsatisfied = 0
+        for _ in range(48):
+            cnf = random_cnf(rng, rng.randrange(3, 6), rng.randrange(1, 4))
+            inst = build_orientation_instance(cnf)
+            for bits in product([False, True], repeat=cnf.num_vars):
+                ot = witness_orientation(inst, bits)
+                expected = reference_witness_arcs(inst, bits)
+                if expected is None:
+                    assert ot is None
+                    unsatisfied += 1
+                    continue
+                assert len(expected) == len(inst.tree.edges)
+                assert set(ot.arcs) == expected
+                satisfied += 1
+        assert satisfied > 500 and unsatisfied > 50
 
     def test_every_satisfying_assignment_of_small_formulas(self):
         rng = random.Random(7)
@@ -185,13 +213,8 @@ class TestSubsetInstance:
         inst = build_subset_instance(SimpleGraph(2, [(0, 1)]))
         assert inst.space.n == 5
         assert inst.kappa == 5
-        block_order = [
-            inst.x_index(1, 1),
-            inst.x_index(1, 2),
-            inst.y_index(1),
-            inst.x_index(2, 1),
-            inst.x_index(2, 2),
-        ]
+        index = role_index(inst)
+        block_order = [index[name] for name in ("x1^1", "x1^2", "y1", "x2^1", "x2^2")]
         assert is_two_way_order(inst.space, block_order)
         assert recognize_two_way(inst.space) is not None
 
@@ -256,6 +279,13 @@ class TestAssignmentInstance:
         assert ot.arcs == ((0, 1), (1, 2), (3, 2), (3, 4), (5, 4))
         tail_paths = [p for p in maximal_directed_paths(ot) if p[0] != 0]
         assert all(len(p) == 2 for p in tail_paths)
+
+    def test_matches_forward_prefix_then_alternating(self):
+        for n in range(1, 31):
+            space = DissimilaritySpace(np.zeros((n, n)))
+            for kappa in range(1, n + 1):
+                ot = build_assignment_instance(space, kappa)
+                assert list(ot.arcs) == reference_assignment_arcs(n, kappa)
 
     def test_kappa_out_of_range(self):
         space = random_space(random.Random(19), 4, values=[1.0], symmetric=True)
