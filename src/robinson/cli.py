@@ -10,6 +10,8 @@ deterministic given identical input files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
@@ -265,35 +267,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(stream, line: str) -> Optional[OSError]:
+    """Print one line to ``stream`` and flush it; the one writer of main.
+
+    A closed stream drops the line: Python's None for a descriptor closed
+    at start, a closed file, or a descriptor that is closed or not open for
+    writing (EBADF).  So does a stream whose reader has left (EPIPE).  Any
+    other failed write returns its error, for the caller to report or
+    ignore.  After a failed write the stream's descriptor points at
+    os.devnull, so the interpreter's final flush of what is left in the
+    buffer cannot fail at exit.
+    """
+    if stream is None or stream.closed:
+        return None
+    try:
+        print(line, file=stream, flush=True)
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return None if exc.errno in (errno.EPIPE, errno.EBADF) else exc
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  The report goes to stdout and sets the exit code;
+    a report that cannot be written exits 2.  Lines on stderr never change
+    the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
         fields = args.func(args)
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {exc}")
         return 2
     except SizeGuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"refused: {exc}")
         return 3
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {"answer": "YES"} | fields if fields is not None else {"answer": "NO"}
     report = {k: report[k] for k in _TEXT_FORMS if k in report}
-    try:
-        if args.json:
-            print(json.dumps(report))
-        else:
-            print("\n".join(f"{k}: {_TEXT_FORMS[k](v)}" for k, v in report.items()))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; the answer still sets the exit
-        # code.  fd 1 goes to devnull so the interpreter's final flush of
-        # what is left in the buffer cannot fail at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    print(f"elapsed_ms: {elapsed_ms:.3f}", file=sys.stderr)
+    if args.json:
+        text = json.dumps(report)
+    else:
+        text = "\n".join(f"{k}: {_TEXT_FORMS[k](v)}" for k, v in report.items())
+    exc = _emit(sys.stdout, text)
+    if exc is not None:
+        _emit(sys.stderr, f"error: cannot write report: {exc}")
+        return 2
+    _emit(sys.stderr, f"elapsed_ms: {elapsed_ms:.3f}")
     return 0 if report["answer"] == "YES" else 1
 
 

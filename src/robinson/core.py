@@ -1,14 +1,19 @@
 """Fundamental data model: dissimilarity spaces, trees, orientations.
 
-Also hosts the ground-truth compatibility checker, the premise check of
-uniform_orient and the directed-path counter that every optimization
-module is validated against.  Both test each ordered pair by the two
-adjacent inequalities of the lemma of _breaks.  The compatibility checker
-is a per-root walk over the directed paths that returns the first failing
-pair, O(xi); it tests the tails of long runs of single-successor vertices
-in numpy slices and the rest one pair at a time.  The premise check,
-_tree_breaks, tests all n^2 ordered pairs of a tree in two whole-matrix
-gathers.  The tests hold both to the literal triple definition.
+Also hosts the order predicates, the ground-truth compatibility checker,
+the premise check of uniform_orient and the directed-path counter that
+every optimization module is validated against.  Each test is one kernel
+per shape, all three reading the two adjacent inequalities of the lemma of
+_breaks:
+- _breaks, for an order: the breaking pairs of d permuted into it, O(k^2)
+  in one whole-matrix pass; _two_way_breaks applies it to d and d.T;
+- _tree_breaks, for every path of a tree: all n^2 ordered pairs in two
+  whole-matrix gathers;
+- _first_failing_pair, for the directed paths of an orientation: a
+  per-root walk that returns the first failing pair, O(xi), testing the
+  tails of long runs of single-successor vertices in numpy slices and the
+  rest one pair at a time.
+The tests hold each to the literal triple definition.
 
 Vertices are dense integer indices 0..n-1 throughout; external labels are
 mapped at the I/O layer.  All comparisons on dissimilarity values are exact
@@ -66,8 +71,7 @@ class DissimilaritySpace:
         idx = list(vertices)
         if not idx:
             raise InputError("restriction needs at least one vertex")
-        _check_order(self, idx)
-        return DissimilaritySpace(self.d[np.ix_(idx, idx)], validate=False)
+        return DissimilaritySpace(_order_matrix(self, idx), validate=False)
 
 
 def checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -220,6 +224,12 @@ def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
         seen.add(v)
 
 
+def _order_matrix(space: DissimilaritySpace, order: Sequence[int]) -> np.ndarray:
+    """d permuted into ``order``, checked to be distinct vertices: a copy."""
+    _check_order(space, order)
+    return space.d[np.ix_(order, order)]
+
+
 def _breaks(D: np.ndarray) -> np.ndarray:
     """The boolean (i, k) mask of the pairs of D, a matrix already permuted
     into an order s, that break an adjacent inequality: k >= i+2 and
@@ -238,20 +248,10 @@ def _breaks(D: np.ndarray) -> np.ndarray:
     return np.triu(b, 2)
 
 
-def _one_way_ok(rows: np.ndarray | list[list[float]], order: Sequence[int]) -> bool:
-    """True iff no pair of ``order`` breaks (the lemma of _breaks); ``rows``
-    is d as nested lists (fast reads) or an array.  A scalar scan, not
-    _breaks: oracle.brute_two_way calls it on 4-point orders, where numpy's
-    per-call cost would dominate."""
-    for i in range(len(order) - 2):
-        row, nxt = rows[order[i]], rows[order[i + 1]]
-        prev = row[order[i + 1]]
-        for pk in order[i + 2 :]:
-            val = row[pk]
-            if val < prev or val < nxt[pk]:
-                return False
-            prev = val
-    return True
+def _two_way_breaks(D: np.ndarray) -> np.ndarray:
+    """The breaking pairs of D, permuted into an order s, in d and in d.T:
+    s is two-way-Robinson iff none is True (the lemma of _breaks)."""
+    return _breaks(D) | _breaks(D.T)
 
 
 def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:
@@ -389,16 +389,22 @@ def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional
 def is_one_way_order(space: DissimilaritySpace, order: Sequence[int]) -> bool:
     """True iff d(p_i,p_k) >= max{d(p_i,p_j), d(p_j,p_k)} for all i<j<k.
 
-    ``order`` may cover a subset of the vertices (distinct entries).
+    ``order`` may cover a subset of the vertices (distinct entries).  Tests
+    the breaking pairs of d permuted into the order (the lemma of _breaks):
+    O(k^2) time for k points, holding one k-by-k copy of d and its boolean
+    masks.
     """
-    _check_order(space, order)
-    return _one_way_ok(space.d, order)
+    return not _breaks(_order_matrix(space, order)).any()
 
 
 def is_two_way_order(space: DissimilaritySpace, order: Sequence[int]) -> bool:
-    """True iff both the order and its reverse are one-way under the same d."""
-    _check_order(space, order)
-    return _one_way_ok(space.d, order) and _one_way_ok(space.d, list(reversed(order)))
+    """True iff both the order and its reverse are one-way under the same d.
+
+    Tests the breaking pairs of d permuted into the order, in d and in d.T
+    (_two_way_breaks, recognition's check): O(k^2) time for k points,
+    holding one k-by-k copy of d and its boolean masks.
+    """
+    return not _two_way_breaks(_order_matrix(space, order)).any()
 
 
 def count_xi(ot: OrientedTree) -> int:

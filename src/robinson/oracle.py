@@ -3,7 +3,10 @@
 Every search here enumerates the full search space behind a hard size
 guard; guards refuse (raise) rather than attempt long runs, so test times
 stay predictable.  `segment` is the literal, one-point-at-a-time definition
-that recognition's vectorised segment columns are checked against.
+that recognition's vectorised segment columns are checked against, and
+`brute_two_way` the literal definition of a two-way order, every triple of
+every permutation in both directions: neither shares a kernel or a lemma
+with the algorithm it certifies.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Optional
 
+import numpy as np
+
 from .c1p import BinaryMatrix
 from .core import (
     DissimilaritySpace,
@@ -21,7 +26,6 @@ from .core import (
     VertexOrder,
     check_compatible,
     count_xi,
-    is_two_way_order,
 )
 from .errors import InputError, SizeGuardError
 
@@ -79,12 +83,31 @@ def segment(space: DissimilaritySpace, x: int, y: int) -> Segment:
 
 
 def brute_two_way(space: DissimilaritySpace) -> Optional[VertexOrder]:
-    """First permutation (lexicographic) passing is_two_way_order, if any."""
-    if space.n > TWO_WAY_MAX_N:
+    """First permutation (lexicographic) that is two-way-Robinson, if any:
+    d(p_a,p_c) >= max(d(p_a,p_b), d(p_b,p_c)) and d(p_c,p_a) >=
+    max(d(p_c,p_b), d(p_b,p_a)) for every triple a < b < c of positions.
+
+    Both directions of each ordered triple of points are tabulated once,
+    n^3 entries.  The n! permutations are listed once, in lexicographic
+    order, and the (n-1)! that share a first point look up their C(n,3)
+    position triples in one numpy batch: O(n! n^3) time, and at the guard
+    a peak of about 10 MB, 2.6 MB for the permutations and the rest for
+    one batch of 5,040 permutations and 56 triples.
+    """
+    n = space.n
+    if n > TWO_WAY_MAX_N:
         raise SizeGuardError(f"permutation search guarded to n <= {TWO_WAY_MAX_N}")
-    for perm in permutations(range(space.n)):
-        if is_two_way_order(space, perm):
-            return perm
+    d, r = space.d, range(n)
+    x, y, z = np.ix_(r, r, r)
+    # holds[x, y, z]: the triple x, y, z in this order passes both directions
+    xz, zx = d[x, z], d[z, x]
+    holds = (xz >= d[x, y]) & (xz >= d[y, z]) & (zx >= d[z, y]) & (zx >= d[y, x])
+    a, b, c = np.array(list(combinations(r, 3)), dtype=np.intp).reshape(-1, 3).T
+    # lexicographic order: batch i holds the permutations that start with i
+    for batch in np.array(list(permutations(r)), dtype=np.intp).reshape(n, -1, n):
+        ok = holds[batch[:, a], batch[:, b], batch[:, c]].all(axis=1)
+        if ok.any():
+            return tuple(int(v) for v in batch[ok.argmax()])
     return None
 
 

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .c1p import PQTree, frontier, reduce_columns, universal_tree
-from .core import DissimilaritySpace, VertexOrder, _breaks
+from .core import DissimilaritySpace, VertexOrder, _two_way_breaks
 from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
@@ -130,7 +130,7 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
             return order, tree
         s = np.array(order)
         D = d[np.ix_(s, s)]
-        breaks = _breaks(D) | _breaks(D.T)
+        breaks = _two_way_breaks(D)
         del D  # an n^2 copy: not held through the next round's reduction
         upto = np.cumsum(np.count_nonzero(breaks, axis=1))  # pairs in rows 0..i
         if not upto[-1]:

@@ -25,7 +25,6 @@ from robinson import (
     Tree,
 )
 from robinson.c1p import LEAF, P, Q, _Node, reduce_columns, universal_tree
-from robinson.core import _one_way_ok
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
 from robinson.uniform_orient import _subset_sum, optimal_partition_of_neighbors
@@ -290,9 +289,20 @@ def maximal_path_check(space: DissimilaritySpace, ot: OrientedTree) -> bool:
     """The sequence test on every maximal directed path: check_compatible's
     walk before the per-root pair kernel, kept as a reference.  Subpaths of
     a one-way-Robinson path are one-way-Robinson, so the maximal paths
-    suffice, but a pair is tested again for every maximal path holding it."""
-    rows = space.d.tolist()
-    return all(_one_way_ok(rows, p) for p in maximal_directed_paths(ot))
+    suffice, but a pair is tested again for every maximal path holding it.
+    Each path is scanned here, pair by pair, by the adjacent inequalities
+    d(p_i,p_k) >= d(p_i,p_{k-1}) and d(p_i,p_k) >= d(p_{i+1},p_k)."""
+    d = space.d.tolist()
+
+    def scan(path) -> bool:
+        for i, a in enumerate(path[:-2]):
+            for k in range(i + 2, len(path)):
+                val = d[a][path[k]]
+                if val < d[a][path[k - 1]] or val < d[path[i + 1]][path[k]]:
+                    return False
+        return True
+
+    return all(scan(p) for p in maximal_directed_paths(ot))
 
 
 def reach_sizes(n: int, adj) -> list[int]:

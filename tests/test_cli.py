@@ -306,6 +306,52 @@ class TestExitCodes:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "elapsed_ms" in err
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, fault, code", [
+        (["recognize", "{chain}"], "closed-stderr", 0),
+        (["recognize", "{chain}"], "readonly-stderr", 0),
+        (["recognize", "{chain}"], "full-stderr", 0),
+        (["recognize", "{missing}"], "closed-stderr", 2),
+        (["oracle", "recognize", "{nine}"], "closed-stderr", 3),
+        (["recognize", "{chain}"], "closed-stdout", 0),
+        (["recognize", "{chain}"], "full-stdout", 2),
+    ], ids=["YES-closed-stderr", "YES-readonly-stderr", "YES-full-stderr", "error-closed-stderr",
+            "refused-closed-stderr", "YES-closed-stdout", "YES-full-stdout"])
+    def test_stream_fault_keeps_exit_code(self, tmp_path, argv, fault, code, unbuffered):
+        # a stream closed as `2>&-` or `>&-` leaves it (Python sets it to
+        # None), open read-only (where a shell script that execs python,
+        # such as a version-manager shim, held its own text on the closed
+        # fd), or on a full device, as `> /dev/full`: a diagnostic never
+        # changes the code, a closed stream drops its lines, and a report
+        # that cannot be written exits 2
+        how, _, which = fault.partition("-")
+        if how == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        chain, nine = tmp_path / "chain.matrix", tmp_path / "nine.matrix"
+        write_matrix(CHAIN3, chain)
+        write_constant_matrix(nine, robinson.oracle.TWO_WAY_MAX_N + 1)
+        paths = {"chain": chain, "nine": nine, "missing": tmp_path / "missing.matrix"}
+        env = self._module_env()
+        env["PYTHONUNBUFFERED"] = "1" if unbuffered else ""
+        fd = 1 if which == "stdout" else 2
+        sinks = {"closed": (os.devnull, "wb"), "readonly": (chain, "rb"), "full": ("/dev/full", "wb")}
+        with open(*sinks[how]) as sink:
+            streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, which: sink}
+            proc = subprocess.run(
+                [sys.executable, "-m", "robinson", *(a.format(**paths) for a in argv)],
+                env=env, timeout=60, preexec_fn=(lambda: os.close(fd)) if how == "closed" else None,
+                **streams,
+            )
+        assert proc.returncode == code
+        if which == "stderr":
+            assert proc.stdout.decode() == ("answer: YES\norder: 0 1 2\n" if code == 0 else "")
+            return
+        err = proc.stderr.decode()
+        if how == "closed":
+            assert err.startswith("elapsed_ms: ") and err.count("\n") == 1
+        else:
+            assert err == "error: cannot write report: [Errno 28] No space left on device\n"
+
     @staticmethod
     def _module_env():
         src = str(Path(robinson.__file__).resolve().parent.parent)

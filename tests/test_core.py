@@ -28,6 +28,7 @@ from support import (
     maximal_directed_paths,
     maximal_path_check,
     path_tree,
+    planted_two_way_space,
     random_space,
     random_tree,
     reach_sizes,
@@ -238,6 +239,10 @@ class TestIsTwoWayOrder:
         # forward triples hold but d(2,0) = 0.5 < max(d(2,1), d(1,0)) = 1
         assert is_one_way_order(ASYM3, [0, 1, 2])
         assert not is_two_way_order(ASYM3, [0, 1, 2])
+
+    @pytest.mark.parametrize("check", [is_one_way_order, is_two_way_order])
+    def test_empty_and_one_point_orders(self, check):
+        assert check(ASYM3, []) and check(ASYM3, [2])
 
 
 class TestReachability:
@@ -622,6 +627,43 @@ def test_one_way_kernel_matches_triple_definition(data):
     order = data.draw(st.permutations(range(n)))
     assert is_one_way_order(space, order) == triple_one_way(space.d, order)
     assert is_two_way_order(space, order) == triple_two_way(space.d, order)
+
+
+def test_order_predicates_on_subsets_match_triple_definition():
+    # orders of k < n points read only their k-by-k submatrix; a subset of a
+    # planted order, kept in that order, is two-way
+    rng = random.Random(23)
+    for trial in range(600):
+        n = rng.randrange(2, 9)
+        k = rng.randrange(0, n)
+        if trial % 2:
+            space, planted = planted_two_way_space(rng, n)
+            keep = set(rng.sample(range(n), k))
+            order = [v for v in planted if v in keep]
+            assert is_two_way_order(space, order)
+        else:
+            space = random_space(rng, n, values=[1.0, 2.0, 3.0])
+            order = rng.sample(range(n), k)
+        assert is_one_way_order(space, order) == triple_one_way(space.d, order), trial
+        assert is_two_way_order(space, order) == triple_two_way(space.d, order), trial
+
+
+def test_order_predicates_on_a_planted_1500_point_order():
+    # the planted order of independent forward and backward line metrics,
+    # labels shuffled, then the same order with two far-apart points swapped
+    n = 1500
+    rng = np.random.default_rng(1500)
+    fwd, bwd = np.sort(rng.uniform(0, 10, n)), np.sort(rng.uniform(0, 10, n))
+    i = np.arange(n)
+    d = np.where(i[:, None] < i, abs(fwd[:, None] - fwd), abs(bwd[:, None] - bwd))
+    order = rng.permutation(n)  # order[i] is the label of position i
+    pos = np.argsort(order)
+    space = DissimilaritySpace(d[np.ix_(pos, pos)])
+    assert is_one_way_order(space, order)
+    assert is_two_way_order(space, order)
+    order[[100, 1400]] = order[[1400, 100]]
+    assert not is_one_way_order(space, order)
+    assert not is_two_way_order(space, order)
 
 
 @settings(max_examples=100, deadline=None)

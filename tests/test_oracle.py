@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from robinson.oracle import (
     brute_two_way,
 )
 from robinson.reductions import SimpleGraph, build_subset_instance
-from support import matrix_from_columns, path_tree, random_space
+from support import (
+    matrix_from_columns,
+    path_tree,
+    planted_two_way_space,
+    random_space,
+    triple_two_way,
+)
 
 
 def constant_space(n):
@@ -62,6 +69,20 @@ class TestBruteTwoWay:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             brute_two_way(constant_space(9))
+
+    def test_matches_per_permutation_triple_search(self):
+        # the first permutation in lexicographic order that passes the
+        # literal triple definition, one permutation at a time
+        rng = random.Random(2311)
+        for n, count in [(1, 300), (2, 300), (3, 300), (4, 300), (5, 300), (6, 300), (7, 50)]:
+            for trial in range(count):
+                if trial % 2:
+                    space = planted_two_way_space(rng, n)[0]
+                else:
+                    space = random_space(rng, n, values=[1.0, 2.0, 3.0])
+                rows = space.d.tolist()
+                want = next((p for p in permutations(range(n)) if triple_two_way(rows, p)), None)
+                assert brute_two_way(space) == want, (n, trial)
 
 
 class TestBruteC1p:
