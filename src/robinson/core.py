@@ -6,7 +6,8 @@ every optimization module is validated against.  Each test is one kernel
 per shape, all three reading the two adjacent inequalities of the lemma of
 _breaks:
 - _breaks, for an order: the breaking pairs of d permuted into it, O(k^2)
-  in one whole-matrix pass; _two_way_breaks applies it to d and d.T;
+  in one whole-matrix pass; _two_way_breaks applies it to d and d.T, and
+  _first_breaks reads each row's first breaking pair off either mask;
 - _tree_breaks, for every path of a tree: all n^2 ordered pairs in two
   whole-matrix gathers;
 - _first_failing_pair, for the directed paths of an orientation: a
@@ -252,6 +253,14 @@ def _two_way_breaks(D: np.ndarray) -> np.ndarray:
     """The breaking pairs of D, permuted into an order s, in d and in d.T:
     s is two-way-Robinson iff none is True (the lemma of _breaks)."""
     return _breaks(D) | _breaks(D.T)
+
+
+def _first_breaks(B: np.ndarray) -> np.ndarray:
+    """The column of the first True in each row of a breaking-pair mask B,
+    or len(B) for a row with none."""
+    first = B.argmax(axis=1)  # 0 on a row with none, whose entry there is False
+    first[~B[np.arange(len(B)), first]] = len(B)
+    return first
 
 
 def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DissimilaritySpace, OrientedTree, Tree, _breaks
+from .core import DissimilaritySpace, OrientedTree, Tree, _breaks, _first_breaks
 from .errors import InputError, PreconditionError, SizeGuardError
 
 # path orientation refuses larger spaces: the eta table holds an n^2
@@ -56,9 +56,7 @@ def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
     from eta[n-1] = n-1; a row with no break has its first break at n.
     """
     _check_path_inputs(space, order)
-    n = len(order)
-    b = _breaks(space.d[np.ix_(order, order)])
-    first = np.where(b.any(axis=1), b.argmax(axis=1), n)
+    first = _first_breaks(_breaks(space.d[np.ix_(order, order)]))
     eta = np.minimum.accumulate((first - 1)[::-1])[::-1].tolist()
     compressed = [(i, e) for i, e in enumerate(eta) if i == 0 or e != eta[i - 1]]
     return EtaTable(tuple(compressed), tuple(eta[:-1]))

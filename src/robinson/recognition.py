@@ -6,8 +6,9 @@ membership columns.  Recognition is verify-and-refine (lazy constraint
 generation): the C1P reducer gets only a few of the x < y columns, as int
 bitsets, and the order it proposes is checked in O(n^2) by its breaking
 pairs (core._breaks).  Each breaking pair names a segment column that the
-order violates; those columns are reduced onto the same PQ-tree until the
-order has no breaking pair or the reducer fails, so a call builds and
+order violates; the first breaking pair of each row of the order
+(core._first_breaks) has its column reduced onto the same PQ-tree, until
+the order has no breaking pair or the reducer fails, so a call builds and
 reduces each column at most once.  No step holds more than O(n^2) entries
 at once, and a NO found in the first round costs O(n^2).
 """
@@ -19,17 +20,19 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .c1p import PQTree, frontier, reduce_columns, universal_tree
-from .core import DissimilaritySpace, VertexOrder, _two_way_breaks
+from .core import DissimilaritySpace, VertexOrder, _first_breaks, _two_way_breaks
 from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
 # at most once, but rounds are bounded only by the number of columns.  At
-# the limit (direct calls, best of 3) a planted YES takes about 0.11 s in
-# one round of n-1 columns, most of it in the C1P reducer, a rounded planted
-# space 0.42-0.45 s in 4-5 rounds, and the comb ultrametric, the slowest
-# YES family known, 0.72 s; `robinson recognize` peaks at about 108 MB RSS,
-# set by reading the text file, or 100 MB on a rounded file (2-core Xeon,
-# Python 3.11)
+# the limit (direct calls, best of 3, two runs side by side) a planted YES
+# takes 0.12-0.17 s in one round of n-1 columns, most of it in the C1P
+# reducer, a rounded planted space 0.28-0.46 s in 4-5 rounds, a random
+# ultrametric 0.23-0.37 s in 4-5 rounds, and the comb ultrametric, the
+# slowest YES family known, 0.71-1.20 s in 5-6 rounds, most of it
+# descending its deep PQ-tree; `robinson recognize` peaks at about 108 MB
+# RSS, set by reading the text file, or 100 MB on a rounded file (2-core
+# Xeon, Python 3.11)
 MAX_POINTS = 1500
 
 
@@ -89,11 +92,23 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     The check permutes d into s and takes its breaking pairs (i, j), in d
     and in d.T (core._breaks).  Both s_i and s_j lie in S(s_i, s_j), and
     the break puts s_{i+1} or s_{j-1}, which lies between them, outside it;
-    so the column of (s_i, s_j) is violated.  The first 4n of them in
-    row-major (i, j) order, indexed from only the rows that hold them, have
-    their columns built and reduced onto the same tree.  A column already reduced is an interval of s, so each of
-    these is new: a call builds and reduces each column at most once, and
-    the loop ends when s has no breaking pair or the reducer fails.
+    so the column of (s_i, s_j) is violated.  Each row i that holds a
+    breaking pair gives one: its first, with the least j (core._first_breaks).
+    Their columns are built and reduced onto the same tree.  A column
+    already reduced is an interval of s, so each of these is new, and no
+    two rows give the same pair: a call builds and reduces each column at
+    most once, and the loop ends when s has no breaking pair or the reducer
+    fails.
+
+    Rounds are bounded only by the number of columns.  Measured over seeded
+    YES spaces with labels shuffled, the most rounds per family at n = 60 /
+    300 / 1,500 were: rounded planted 4 / 5 / 5, planted / 3 then rounded
+    4 / 5 / 6, the comb ultrametric d(i,j) = n - min(i,j) 5 / 6 / 6,
+    random ultrametrics 5 / 5 / 5, and sums of 8 interval matrices
+    4 / 21 / 6.  So rounds grow slowly with n on the tied families, and the
+    interval sums have outliers: three of 90 spaces at n = 300 took 12, 18
+    and 21 rounds, most of them reducing a single column, where the others
+    took 1-5.
 
     Both answers are exact.  YES: s has no breaking pair, so it is
     two-way-Robinson.  NO: some subset of the segments has no
@@ -110,7 +125,6 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
     d = space.d
     dt = np.ascontiguousarray(d.T)
     r = np.arange(n)
-    k = 4 * n
     if n <= 9:
         x, y = np.nonzero(r[:, None] < r)  # the pairs of this round's columns
     else:
@@ -125,17 +139,19 @@ def recognize_two_way(space: DissimilaritySpace) -> Optional[tuple[VertexOrder, 
         if tree is None:
             return None
         order = frontier(tree)
-        # round 1 took every pair; above n = 9, n-1 and 4n are fewer
+        # round 1 took every pair: for n <= 9 that skips the check, whose
+        # fixed numpy cost outweighs the columns saved.  Sending n = 4-8
+        # through the anchor round and the check instead took the per-call
+        # p50 of the recognize-small benchmark from 0.037-0.041 to
+        # 0.061-0.075 ms (three runs each, 2-core Xeon, Python 3.11)
         if len(x) == n * (n - 1) // 2:
             return order, tree
         s = np.array(order)
-        D = d[np.ix_(s, s)]
-        breaks = _two_way_breaks(D)
-        del D  # an n^2 copy: not held through the next round's reduction
-        upto = np.cumsum(np.count_nonzero(breaks, axis=1))  # pairs in rows 0..i
-        if not upto[-1]:
+        # the n^2 permuted copy and masks are temporaries: none is held
+        # through the next round's reduction
+        first = _first_breaks(_two_way_breaks(d[np.ix_(s, s)]))
+        i = np.flatnonzero(first < n)  # the rows that hold a breaking pair
+        if not len(i):
             return order, tree
-        # the indices of only the leading rows that hold the first k pairs
-        i, j = np.nonzero(breaks[: np.searchsorted(upto, k) + 1])
-        a, b = s[i[:k]], s[j[:k]]
+        a, b = s[i], s[first[i]]
         x, y = np.minimum(a, b), np.maximum(a, b)

@@ -18,7 +18,7 @@ from robinson import (
 from robinson.oracle import brute_two_way
 import robinson.recognition
 from robinson.c1p import frontier, reduce_columns, universal_tree
-from robinson.core import _breaks, _tree_breaks
+from robinson.core import _breaks, _first_breaks, _tree_breaks
 from robinson.recognition import _column_bitsets, _segment_columns
 from support import (
     full_segment_reduction,
@@ -130,10 +130,10 @@ class TestSegmentColumns:
                 assert set(np.flatnonzero(row)) == segment(space, int(a), int(b)).members
 
     def test_planted_no_builds_one_round_of_columns(self, monkeypatch, reductions):
-        # the obstruction sits on the first three points, so the first 4n
-        # columns already have no consecutive-ones order; columns are built
-        # in blocks as the reducer reads them, and none past the block of
-        # the failing column is built
+        # the obstruction sits on points 0, 1 and 2, one of which is the
+        # anchor, so the n-1 columns of the anchor round already have no
+        # consecutive-ones order; columns are built in blocks as the reducer
+        # reads them, and none past the block of the failing column is built
         built = []
 
         def counted(d, dt, x, y):
@@ -178,6 +178,14 @@ class TestBreaks:
             assert np.array_equal(np.triu(bad), _breaks(D))
             assert np.array_equal(np.tril(bad), _breaks(D.T).T)
         assert len(cases) == 186
+
+    def test_first_breaks_is_each_rows_least_true_column(self):
+        rng = np.random.default_rng(89)
+        for n in (1, 2, 5, 17):
+            for p in (0.0, 0.05, 0.5):
+                B = rng.random((n, n)) < p
+                want = [next((j for j in range(n) if B[i][j]), n) for i in range(n)]
+                assert _first_breaks(B).tolist() == want
 
     def test_breaking_pair_names_violated_segment(self):
         rng = random.Random(73)
@@ -398,7 +406,8 @@ class TestVerifyAndRefine:
         assert ends == 4  # spaces whose planted order starts or ends at 0
 
     def test_small_spaces_take_one_round(self, reductions):
-        # n(n-1)/2 <= 4n for n <= 9: the first round reduces every column
+        # for n <= 9 the first round reduces every column, so no candidate
+        # is checked and no second round runs
         rng = random.Random(53)
         for n in range(1, 10):
             space, _ = planted_two_way_space(rng, n)
@@ -406,3 +415,97 @@ class TestVerifyAndRefine:
             assert recognize_two_way(space) is not None
             assert list(map(len, reductions)) == [n * (n - 1) // 2]
 
+
+def first_breaking_pairs(d, order):
+    """For each row i of the order s that holds one, the pair (s_i, s_j) with
+    the least j >= i+2 that breaks an adjacent inequality in d or in d.T,
+    found by nested loops over d as lists: the rule each refine round reads."""
+    D = [[d[u][v] for v in order] for u in order]
+    n = len(order)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 2, n):
+            fwd = D[i][j] < D[i][j - 1] or D[i][j] < D[i + 1][j]
+            bwd = D[j][i] < D[j - 1][i] or D[j][i] < D[j][i + 1]
+            if fwd or bwd:
+                a, b = order[i], order[j]
+                pairs.append((min(a, b), max(a, b)))
+                break
+    return pairs
+
+
+def comb_ultrametric(rng, n):
+    """d(i, j) = n - min(i, j) off the diagonal, labels shuffled: YES, and
+    every segment is a suffix {t >= x} of the label order."""
+    p = list(range(n))
+    rng.shuffle(p)
+    return DissimilaritySpace([[0 if u == v else n - min(p[u], p[v]) for v in range(n)] for u in range(n)])
+
+
+def random_ultrametric(rng, n):
+    """A random binary hierarchy whose heights shrink by a factor in
+    [0.3, 1] per level, rounded to integers, labels shuffled: YES."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    d = np.zeros((n, n))
+    stack = [(labels, 100.0)]
+    while stack:
+        block, h = stack.pop()
+        if len(block) < 2:
+            continue
+        cut = rng.randrange(1, len(block))
+        left, right = block[:cut], block[cut:]
+        d[np.ix_(left, right)] = d[np.ix_(right, left)] = round(h)
+        stack += [(left, h * rng.uniform(0.3, 1)), (right, h * rng.uniform(0.3, 1))]
+    return DissimilaritySpace(d)
+
+
+class TestFirstBreakRefinement:
+    """Each round after the first reads one column per row of the candidate
+    order: the first breaking pair of that row."""
+
+    def test_rounds_read_the_first_breaking_pair_of_each_row(self, monkeypatch):
+        fronts, pairs = [], []
+
+        def reduced(tree, columns):
+            tree = reduce_columns(tree, columns)
+            fronts.append(None if tree is None else frontier(tree))
+            return tree
+
+        def recorded(d, dt, x, y):
+            pairs.append(list(zip(x.tolist(), y.tolist())))
+            return _column_bitsets(d, dt, x, y)
+
+        monkeypatch.setattr(robinson.recognition, "reduce_columns", reduced)
+        monkeypatch.setattr(robinson.recognition, "_column_bitsets", recorded)
+        refined = 0
+        for trial, space in refine_spaces():
+            del fronts[:], pairs[:]
+            recognize_two_way(space)
+            d = space.d.tolist()
+            for r in range(1, len(pairs)):
+                assert pairs[r] == first_breaking_pairs(d, fronts[r - 1]), trial
+                refined += 1
+            if fronts[-1] is not None:
+                assert first_breaking_pairs(d, fronts[-1]) == [], trial
+        assert refined > 100
+
+    def test_tie_heavy_ultrametrics(self):
+        # comb and random ultrametrics with shuffled labels, alternately
+        # with a non-two-way triple planted on three random points
+        rng = random.Random(97)
+        yes = 0
+        for trial in range(60):
+            n = rng.randrange(10, 81)
+            space = (comb_ultrametric, random_ultrametric)[trial % 2](rng, n)
+            if trial % 3 == 2:
+                d = np.array(space.d)
+                idx = rng.sample(range(n), 3)
+                d[np.ix_(idx, idx)] = ASYM3.d
+                space = DissimilaritySpace(d)
+            got = recognize_two_way(space)
+            assert (got is None) == (full_segment_reduction(space) is None), trial
+            if got is not None:
+                assert is_two_way_order(space, got[0]), trial
+                yes += 1
+        assert yes == 40
