@@ -87,5 +87,6 @@ __all__ = [
     "recognize_two_way",
     "segment",
     "test_c1p",
+    "verify_all_paths_robinson",
     "witness_orientation",
 ]

@@ -11,9 +11,10 @@ _breaks:
 - _tree_breaks, for every path of a tree: all n^2 ordered pairs in two
   whole-matrix gathers;
 - _first_failing_pair, for the directed paths of an orientation: a
-  per-root walk that returns the first failing pair, O(xi), testing the
-  tails of long runs of single-successor vertices in numpy slices and the
-  rest one pair at a time.
+  per-root walk that returns the first failing pair, O(xi).  From each
+  vertex it pops, one loop takes the single successors in turn, each
+  either a scalar step or, where a tail of RUN_MIN or more vertices
+  starts, one numpy slice over that tail.
 The tests hold each to the literal triple definition.
 
 Vertices are dense integer indices 0..n-1 throughout; external labels are
@@ -298,37 +299,35 @@ def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:
 # shorter one a pair at a time.  Measured on a 2-core Xeon, Python 3.11,
 # numpy 2.4: a slice test costs about 5 us (two gathers, a maximum, a
 # comparison, an any), a scalar pair about 0.3 us.  Kernel medians over
-# RUN_MIN 16-96 on a YES 600-point directed line: 6.4 ms at 16-48, 6.8
-# at 64, 7.2 at 96.
+# RUN_MIN 16-96 on YES spaces, three sweeps: a 600-point directed line
+# 6.1-6.5 ms at 16-48, 6.6 at 64, 7.0-7.2 at 96; a 600-point zigzag path
+# with runs of 2-60, 4.0-4.2 ms at 16-32, 4.6-4.7 at 48-96; an in-broom of
+# 400, 3.8-4.0 ms at 16-48, 4.6 at 96.  A 401-point star with 200 in- and
+# 200 out-leaves (21-23 ms) and an out-broom of 400 (22-25 ms) read nearly
+# every pair as a scalar and stay flat.  16-32 are within noise of each
+# other on every shape, so 32 stays.
 RUN_MIN = 32
 
 
-def _tails(run: list[int]) -> list:
-    """Per position i of ``run``, the tail run[i:] as (an index array, its
-    last vertex), or None when it is shorter than RUN_MIN."""
-    arr = np.array(run)
-    k = max(len(run) - RUN_MIN + 1, 0)
-    return [(arr[i:], run[-1]) for i in range(k)] + [None] * (len(run) - k)
-
-
 def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list]:
-    """Runs of an oriented tree's out-adjacency: maximal chains in which
-    every vertex but the last has exactly one out-neighbour, cut where two
-    such chains merge.  Returns step and rest:
-    - step[b] is b's one out-neighbour, which the walk reads one pair at a
-      time; -2 when a tail follows it; -1 when it has no or several;
-    - rest[b] is the tail that follows b where step[b] is -2.
+    """The single successors of an oriented tree's out-adjacency and the
+    tails of its runs: maximal chains in which every vertex but the last
+    has exactly one out-neighbour, cut where two such chains merge.
+    Returns step and tails:
+    - step[b] is b's one out-neighbour, or -1 when it has none or several;
+    - tails[c] is the rest of c's run from c on, as an index array and its
+      last vertex, when that is RUN_MIN or more vertices; else None.
+    Each run is read once, so building both is O(n).
     """
     n = len(adj)
     step = [nb[0] if len(nb) == 1 else -1 for nb in adj]
-    rest: list = [None] * n
+    tails: list = [None] * n
     if n < RUN_MIN:
-        return step, rest
+        return step, tails
     npred = [0] * n
     for c in step:
         if c >= 0:
             npred[c] += 1
-    starts: list = [None] * n  # the tail starting at each vertex
     for b in range(n):
         if npred[b] == 1:
             continue  # inside the run of its one predecessor
@@ -336,12 +335,10 @@ def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list]:
         while step[run[-1]] >= 0 and npred[step[run[-1]]] == 1:
             run.append(step[run[-1]])
         if len(run) >= RUN_MIN:
-            for v, tail in zip(run, _tails(run)):
-                starts[v] = tail
-    for b, c in enumerate(step):
-        if c >= 0 and starts[c] is not None:
-            step[b], rest[b] = -2, starts[c]
-    return step, rest
+            arr = np.array(run)
+            for i in range(len(run) - RUN_MIN + 1):
+                tails[run[i]] = (arr[i:], run[-1])
+    return step, tails
 
 
 def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
@@ -352,14 +349,16 @@ def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional
     By the lemma of _breaks, every directed path is one-way-Robinson iff no
     such pair exists, so a walk from every root a, carrying its first hop h
     and the last value d(a,p), tests each ordered reachable pair once,
-    O(xi).  A tail C of RUN_MIN or more vertices along a run is tested in
-    one numpy slice: d[a, C] nondecreasing from the last value and
-    d[a, C] >= d[h, C].  Branch vertices keep a Python stack.  "First" is
-    in walk order: roots a ascending, each a's first hops in adjacency
-    order, each hop's subtree depth first, last pushed out-neighbour first;
-    along a tail, its order.
+    O(xi).  Branch vertices keep a Python stack.  From each vertex popped,
+    one loop takes the next single successor c of _out_runs: a scalar test
+    of the pair (a, c) when c starts no tail, else one numpy slice over the
+    tail C from c, d[a, C] nondecreasing from the last value and
+    d[a, C] >= d[h, C], which jumps to the run's end.  "First" is in walk
+    order: roots a ascending, each a's first hops in adjacency order, each
+    hop's subtree depth first, last pushed out-neighbour first; along a
+    tail, its order.
     """
-    step, rest = _out_runs(adj)
+    step, tails = _out_runs(adj)
     for a in range(len(adj)):
         row = d[a]
         for h in adj[a]:
@@ -371,24 +370,21 @@ def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional
                 if val < prev or val < hrow[b]:
                     return a, b
                 c = step[b]
-                while True:
-                    while c >= 0:
+                while c >= 0:
+                    if tails[c] is None:
                         nxt = row[c]
                         if nxt < val or nxt < hrow[c]:
                             return a, c
-                        val = nxt
-                        b = c
-                        c = step[c]
-                    if c == -1:
-                        break
-                    idx, b = rest[b]  # the tail that follows b
-                    v, hv = row[idx], hrow[idx]
-                    if v[0] < val or v[0] < hv[0]:
-                        return a, int(idx[0])
-                    bad = v[1:] < np.maximum(v[:-1], hv[1:])
-                    if bad.any():
-                        return a, int(idx[bad.argmax() + 1])
-                    val = v[-1]
+                        val, b = nxt, c
+                    else:
+                        idx, b = tails[c]
+                        v, hv = row[idx], hrow[idx]
+                        if v[0] < val or v[0] < hv[0]:
+                            return a, c
+                        bad = v[1:] < np.maximum(v[:-1], hv[1:])
+                        if bad.any():
+                            return a, int(idx[bad.argmax() + 1])
+                        val = v[-1]
                     c = step[b]
                 for c in adj[b]:  # a loop: extend() over a generator was 3x slower
                     stack.append((c, val))

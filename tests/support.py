@@ -305,6 +305,26 @@ def maximal_path_check(space: DissimilaritySpace, ot: OrientedTree) -> bool:
     return all(scan(p) for p in maximal_directed_paths(ot))
 
 
+def reference_first_failing_pair(d, ot: OrientedTree) -> tuple[int, int] | None:
+    """The first ordered pair (a, b) of a directed path a, h, ..., p, b of
+    ``ot`` with d(a,b) < d(a,p) or d(a,b) < d(h,b), or None, written from
+    failing_pair's walk order alone: roots a ascending, each a's first hops
+    h in adjacency order, each hop's subtree depth first, last pushed
+    out-neighbour first.  One stack of (vertex, vertex before it) per hop
+    over nested lists: no run table, no tails, no numpy."""
+    rows = np.asarray(d).tolist()
+    out = ot.out_adjacency
+    for a in range(ot.tree.n):
+        for h in out[a]:
+            stack = [(h, a)]
+            while stack:
+                b, p = stack.pop()
+                if rows[a][b] < rows[a][p] or rows[a][b] < rows[h][b]:
+                    return a, b
+                stack.extend((c, b) for c in out[b])
+    return None
+
+
 def reach_sizes(n: int, adj) -> list[int]:
     """Per vertex, how many vertices it reaches along the arcs ``adj``
     (itself excluded).  ``adj`` is an oriented tree's out- or in-adjacency,

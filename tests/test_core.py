@@ -33,6 +33,7 @@ from support import (
     random_tree,
     reach_sizes,
     reachability,
+    reference_first_failing_pair,
     reference_tree_faults,
     star_tree,
     tree_from_pruefer,
@@ -567,6 +568,42 @@ class TestLongRuns:
             counts["no" if pair else "yes"] += 1
         assert counts["yes"] > 50 and len(counts) == 12  # every place, either test
 
+    def test_first_of_several_failing_pairs_in_walk_order(self):
+        # with two to four planted pairs failing, failing_pair names the one
+        # the walk order reaches first, as the reference's plain DFS does.
+        # On the line 0 -> ... -> 99 the root 5 comes before the root 10,
+        # and along 10's run the pair (10, 40) before (10, 60)
+        x = np.arange(100)
+        d = abs(x[:, None] - x).astype(float)
+        d[10, 60], d[5, 80], d[10, 40] = 0.5, 1.5, 2.5
+        arcs = [(i, i + 1) for i in range(99)]
+        ot = OrientedTree(Tree(100, arcs), arcs)
+        assert failing_pair(DissimilaritySpace(d), ot) == reference_first_failing_pair(d, ot) == (5, 80)
+        d[5, 80] = 75
+        assert failing_pair(DissimilaritySpace(d), ot) == (10, 40)
+        rng = random.Random(25)
+        places, later = set(), 0
+        for case in range(150):
+            n, arcs = long_run_shape(rng, self.KINDS[case % 5])
+            labels = list(range(n))
+            rng.shuffle(labels)
+            arcs = [(labels[u], labels[v]) for u, v in arcs]
+            t = Tree(n, arcs)
+            ot = OrientedTree(t, arcs)
+            symmetric = case % 3 == 0
+            d = path_metric(rng, t, symmetric, arcs)
+            planted = []
+            for _ in range(rng.randrange(2, 5)):
+                found = plant(rng, d, t, ot.out_adjacency, symmetric)
+                if found is not None:
+                    planted.append(found[0])
+                    places.add(found[1])
+            pair = failing_pair(DissimilaritySpace(d), ot)
+            assert pair == reference_first_failing_pair(d, ot), case
+            assert pair in planted  # planting one pair makes no other fail
+            later += pair != planted[0]
+        assert len(places) == 5 and later > 30  # every place; the order decides
+
     def test_trees_match_references(self):
         # every tree path lies on a path leading away from a leaf, so the
         # premise holds iff each orientation away from a leaf is compatible
@@ -734,5 +771,5 @@ def test_every_exported_name_resolves():
         "optimal_partition_of_neighbors",
         "orient_all_robinson", "orient_star", "orientation_kappa", "parse_dimacs",
         "path_orientation", "petals", "recognize_two_way", "segment", "test_c1p",
-        "witness_orientation",
+        "verify_all_paths_robinson", "witness_orientation",
     ]
