@@ -2,15 +2,18 @@
 
 Booth-Lueker style template reduction, one column at a time.  A column is
 an int bitset over the rows, and every node carries its leaf set as an int
-mask, so a child is classified empty, full or partial by one AND.  Every
-internal node also keeps the prefix unions of its children's masks, so
+mask, so a child is classified empty, full or partial by one AND.  A leaf
+is a bit, not a node: a P-node holds its leaf children as one int bitset
+beside its other children, so its leaves split against a column in two
+ANDs.  Every node also keeps the prefix unions of its children's masks, so
 every internal node is passed by binary search on the way down, and the
 first and last of a Q-node's children that a column meets are found the
 same way: passing down through a node of k children, or finding that a
 column already is a full, contiguous run under a Q-node root and leaving
 it as it is, costs O(log k) big-int operations.  A column that changes the
-tree also pays for one split of a P-node root's children into empty, full
-and partial ones, and for the chain of partial nodes below the root.
+tree also pays for one split of a P-node root's leaves and children into
+empty, full and partial ones, and for the chain of partial nodes below the
+root.
 The templates rearrange the pertinent root in place, so the tree keeps one
 root object: a P-node root may become a Q-node, but no node's leaf set
 ever changes, so every mask and every prefix union above it still holds.
@@ -31,9 +34,19 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 
-LEAF = "leaf"
 P = "P"
 Q = "Q"
+
+
+def _rows(leaves: int) -> list[int]:
+    """The rows of a leaf bitset, ascending: one lowest-bit step per row, so
+    a one-bit leaf costs O(1) however high its row."""
+    out = []
+    while leaves:
+        low = leaves & -leaves
+        out.append(low.bit_length() - 1)
+        leaves ^= low
+    return out
 
 
 def _unions(start: int, nodes: list["_Node"]) -> list[int]:
@@ -46,38 +59,39 @@ def _unions(start: int, nodes: list["_Node"]) -> list[int]:
 
 
 class _Node:
-    """A PQ-tree node.  `mask` is its leaf set as an int bitset, fixed at
-    construction: the templates rearrange the pertinent root in place, and
-    may turn a P-node into a Q-node, but never change the leaves under a
-    node, so the mask never goes stale.  An internal node also carries
-    `pre`, the prefix unions of its children's masks (`pre[i]` is the union
-    of the first i).  A rearranged node rebuilds the unions it changes, and
-    its parent's unions hold because its leaf set does, so `pre` never goes
-    stale either; leaves carry None."""
+    """A PQ-tree node of kind P or Q.  A P-node holds its leaf children as
+    one int bitset, `leaves`, and its other children in `children`; a leaf
+    is a P-node of one bit and no children.  A Q-node has `leaves` 0 and
+    every child, leaves included, in `children`, in order.  `pre` holds the
+    prefix unions of the children's masks (`pre[i]` is the union of the
+    first i), and `mask`, the node's leaf set as an int bitset, is
+    `leaves | pre[-1]`.  The mask is fixed at construction: the templates
+    rearrange the pertinent root in place, and may turn a P-node into a
+    Q-node, but never change the leaves under a node, so the mask never
+    goes stale.  A rearranged node rebuilds the unions it changes, and its
+    parent's unions hold because its leaf set does, so `pre` never goes
+    stale either."""
 
-    __slots__ = ("kind", "children", "row", "mask", "pre")
+    __slots__ = ("kind", "children", "leaves", "mask", "pre")
 
-    def __init__(self, kind: str, children: Optional[list["_Node"]] = None, row: int = -1):
-        self.kind = kind
-        self.children: list[_Node] = children if children is not None else []
-        self.row = row
-        self.pre: Optional[list[int]] = None
-        if kind == LEAF:
-            self.mask = 1 << row
-        else:
-            self.pre = _unions(0, self.children)
-            self.mask = self.pre[-1]
+    def __init__(self, kind: str, children: list["_Node"], leaves: int = 0):
+        self.kind, self.children, self.leaves = kind, children, leaves
+        self.pre = _unions(0, children)
+        self.mask = leaves | self.pre[-1]
 
-    def __repr__(self) -> str:  # debugging aid
-        if self.kind == LEAF:
-            return str(self.row)
-        return f"{self.kind}({', '.join(map(repr, self.children))})"
+    def __repr__(self) -> str:  # debugging aid: a leaf prints as its row
+        rows = list(map(str, _rows(self.leaves)))
+        if len(rows) == 1 and not self.children:
+            return rows[0]
+        return f"{self.kind}({', '.join(rows + list(map(repr, self.children)))})"
 
 
-def _make_p(children: list[_Node]) -> _Node:
-    if len(children) == 1:
-        return children[0]
-    return _Node(P, children)
+def _make_p(leaves: int, children: list[_Node]) -> list[_Node]:
+    """The leaves and children under one P-node, as a list of zero or one
+    nodes: empty when there is nothing, a lone child as itself."""
+    if not leaves and len(children) < 2:
+        return children
+    return [_Node(P, children, leaves)]
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,11 @@ class BinaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PQTree:
-    """Result of a successful C1P reduction; frontier set = valid row orders."""
+    """Result of a successful C1P reduction; frontier set = valid row orders.
+
+    Frozen, but not immutable: `reduce_columns` rearranges the nodes under
+    `_root` in place and returns the tree it was given, so a tree handed to
+    it must not be read or reduced from another thread meanwhile."""
 
     _root: _Node
     num_leaves: int
@@ -118,22 +136,22 @@ def frontier(t: PQTree) -> tuple[int, ...]:
     stack = [t._root]
     while stack:
         node = stack.pop()
-        if node.kind == LEAF:
-            out.append(node.row)
-        else:
-            stack.extend(reversed(node.children))
+        out += _rows(node.leaves)  # a P-node's leaves come before its children
+        stack += reversed(node.children)
     return tuple(out)
 
 
-def _split(children: list[_Node], s: int) -> tuple[list[_Node], list[_Node], list[_Node]]:
-    """The empty, full and partial children against column s, each in order."""
+def _split(node: _Node, s: int) -> tuple[int, list[_Node], int, list[_Node], list[_Node]]:
+    """A P-node's empty leaves and children, full leaves and children, and
+    partial children against column s, each in order: the leaves in two
+    big-int ANDs, the children one AND each."""
     empties: list[_Node] = []
     fulls: list[_Node] = []
     partials: list[_Node] = []
-    for c in children:
+    for c in node.children:
         h = c.mask & s
         (fulls if h == c.mask else partials if h else empties).append(c)
-    return empties, fulls, partials
+    return node.leaves & ~s, empties, node.leaves & s, fulls, partials
 
 
 def _first(pre: list[int], s: int) -> int:
@@ -164,19 +182,20 @@ def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
     it is walked down, keeping each node's payload on either side of its
     partial child's, then joined bottom-up, without recursion.
 
-    A P-node's payload is its empty children under one P-node, the partial
-    child's payload, then its full children under one P-node.  A Q-node's
-    run of children meeting s must reach one end of the node and be full at
-    that end, which fixes the orientation; only the child at the other end
-    of the run may be partial.
+    A P-node's payload is its empty leaves and children under one P-node,
+    the partial child's payload, then its full leaves and children under
+    one P-node; a leaf is never partial.  A Q-node's run of children
+    meeting s must reach one end of the node and be full at that end, which
+    fixes the orientation; only the child at the other end of the run may
+    be partial.
     """
     chain: list[tuple[list[_Node], list[_Node]]] = []
     while True:
         if node.kind == P:
-            empties, fulls, partials = _split(node.children, s)
+            el, empties, fl, fulls, partials = _split(node, s)
             if len(partials) > 1:
                 return None
-            chain.append(([_make_p(empties)] if empties else [], [_make_p(fulls)] if fulls else []))
+            chain.append((_make_p(el, empties), _make_p(fl, fulls)))
             if not partials:
                 payload: list[_Node] = []
                 break
@@ -207,30 +226,32 @@ def _reduce_partial(node: _Node, s: int) -> Optional[list[_Node]]:
 
 def _reduce_p_root(node: _Node, s: int) -> bool:
     """Apply the templates at a P-node pertinent root, rearranging it in
-    place: its empty children stay, in order, beside one new node for the
-    rest, or, with no empty child, the node itself becomes the new Q-node.
-    Returns False when the column cannot be made consecutive."""
-    empties, fulls, partials = _split(node.children, s)
+    place: its empty leaves and children stay, in order, beside one new
+    node for the rest, or, with nothing empty, the node itself becomes the
+    new Q-node.  Returns False when the column cannot be made consecutive."""
+    el, empties, fl, fulls, partials = _split(node, s)
     if not partials:
-        if not empties:
+        if not (el or empties):
             return True  # entire subtree is full: already a block
-        kids = empties + [_make_p(fulls)]
+        # s has two or more bits and no child holds it all, so the fulls
+        # are two or more and make one new P-node
+        kids = empties + _make_p(fl, fulls)
     else:
         if len(partials) > 2:
             return False
         payloads = [_reduce_partial(c, s) for c in partials]
         if any(p is None for p in payloads):
             return False
-        inner = payloads[0] + ([_make_p(fulls)] if fulls else [])
+        inner = payloads[0] + _make_p(fl, fulls)
         if len(payloads) == 2:
             inner.extend(reversed(payloads[1]))
         # a partial payload has two or more nodes, and a partial child comes
         # with a full sibling or a second partial one (alone it would hold
         # all of s, and the root would lie below): three or more nodes
-        node.kind = P if empties else Q
-        kids = empties + [_Node(Q, inner)] if empties else inner
+        node.kind = P if el or empties else Q
+        kids = empties + [_Node(Q, inner)] if node.kind == P else inner
     # the leaf set stays, so the node's mask and its parent's unions hold
-    node.children, node.pre = kids, _unions(0, kids)
+    node.leaves, node.children, node.pre = el, kids, _unions(0, kids)
     return True
 
 
@@ -269,19 +290,21 @@ def _reduce_q_root(node: _Node, s: int, lo: int) -> bool:
 def _reduce(node: _Node, s: int) -> bool:
     """Reduce the tree under `node` by one column in place; False when the
     column cannot be made consecutive."""
-    # descend to the pertinent root, the deepest node containing all of s:
-    # a node is the root when its first child meeting s does not hold all of s
-    while True:
+    # descend to the pertinent root, the deepest node containing all of s: a
+    # node is the root when one of its leaves meets s (s has two or more
+    # bits), or when its first child meeting s does not hold all of s
+    while not node.leaves & s:
         i = _first(node.pre, s)
         if node.pre[i + 1] & s != s:
-            break
+            return _reduce_q_root(node, s, i) if node.kind == Q else _reduce_p_root(node, s)
         node = node.children[i]
-    return _reduce_q_root(node, s, i) if node.kind == Q else _reduce_p_root(node, s)
+    return _reduce_p_root(node, s)
 
 
 def universal_tree(rows: int) -> PQTree:
-    """The tree of every order of `rows` rows: one P-node over the leaves."""
-    return PQTree(_make_p([_Node(LEAF, row=r) for r in range(rows)]), rows)
+    """The tree of every order of `rows` rows: one P-node whose leaves are
+    all the rows."""
+    return PQTree(_Node(P, [], (1 << rows) - 1), rows)
 
 
 def reduce_columns(tree: PQTree, columns: Iterable[int]) -> Optional[PQTree]:

@@ -13,8 +13,8 @@ _breaks:
 - _first_failing_pair, for the directed paths of an orientation: a
   per-root walk that returns the first failing pair, O(xi).  From each
   vertex it pops, one loop takes the single successors in turn, each
-  either a scalar step or, where a tail of RUN_MIN or more vertices
-  starts, one numpy slice over that tail.
+  either a scalar step or, where the vertex it stands on starts a tail of
+  RUN_MIN or more vertices, one numpy slice over that tail.
 The tests hold each to the literal triple definition.
 
 Vertices are dense integer indices 0..n-1 throughout; external labels are
@@ -315,8 +315,10 @@ def _out_runs(adj: Sequence[Sequence[int]]) -> tuple[list[int], list]:
     has exactly one out-neighbour, cut where two such chains merge.
     Returns step and tails:
     - step[b] is b's one out-neighbour, or -1 when it has none or several;
-    - tails[c] is the rest of c's run from c on, as an index array and its
-      last vertex, when that is RUN_MIN or more vertices; else None.
+    - tails[b] is the rest of b's run from b on, b included, as an index
+      array and its last vertex, when that is RUN_MIN or more vertices;
+      else None.  The walk looks a tail up at the vertex it stands on, so
+      the tail's first entry is the pair it has just tested.
     Each run is read once, so building both is O(n).
     """
     n = len(adj)
@@ -350,13 +352,14 @@ def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional
     such pair exists, so a walk from every root a, carrying its first hop h
     and the last value d(a,p), tests each ordered reachable pair once,
     O(xi).  Branch vertices keep a Python stack.  From each vertex popped,
-    one loop takes the next single successor c of _out_runs: a scalar test
-    of the pair (a, c) when c starts no tail, else one numpy slice over the
-    tail C from c, d[a, C] nondecreasing from the last value and
-    d[a, C] >= d[h, C], which jumps to the run's end.  "First" is in walk
-    order: roots a ascending, each a's first hops in adjacency order, each
-    hop's subtree depth first, last pushed out-neighbour first; along a
-    tail, its order.
+    one loop takes the next single successor c of _out_runs from the vertex
+    b it stands on: a scalar test of the pair (a, c) when b starts no tail,
+    else one numpy slice over the tail B from b, whose first entry d(a,b)
+    is the value it carries, already tested: d[a, B] nondecreasing and
+    d[a, B] >= d[h, B] past b, which jumps to the run's end.  "First" is
+    in walk order: roots a ascending, each a's first hops in adjacency
+    order, each hop's subtree depth first, last pushed out-neighbour first;
+    along a tail, its order.
     """
     step, tails = _out_runs(adj)
     for a in range(len(adj)):
@@ -371,16 +374,14 @@ def _first_failing_pair(d: np.ndarray, adj: Sequence[Sequence[int]]) -> Optional
                     return a, b
                 c = step[b]
                 while c >= 0:
-                    if tails[c] is None:
+                    if tails[b] is None:
                         nxt = row[c]
                         if nxt < val or nxt < hrow[c]:
                             return a, c
                         val, b = nxt, c
-                    else:
-                        idx, b = tails[c]
+                    else:  # v[0] = d(a,b) = val, already tested
+                        idx, b = tails[b]
                         v, hv = row[idx], hrow[idx]
-                        if v[0] < val or v[0] < hv[0]:
-                            return a, c
                         bad = v[1:] < np.maximum(v[:-1], hv[1:])
                         if bad.any():
                             return a, int(idx[bad.argmax() + 1])

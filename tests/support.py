@@ -24,7 +24,7 @@ from robinson import (
     StarAssignment,
     Tree,
 )
-from robinson.c1p import LEAF, P, Q, _Node, reduce_columns, universal_tree
+from robinson.c1p import P, Q, reduce_columns, universal_tree
 from robinson.fileio import _content_lines, _parse_header
 from robinson.oracle import _column_sets
 from robinson.uniform_orient import _subset_sum, optimal_partition_of_neighbors
@@ -413,17 +413,48 @@ def full_segment_reduction(space: DissimilaritySpace):
     return reduce_columns(universal_tree(n), columns)
 
 
-def _classes(children: list[_Node], s: int) -> str:
+def _bits(x: int) -> list[int]:
+    """The set bits of x, ascending."""
+    return [r for r in range(x.bit_length()) if x >> r & 1]
+
+
+class _RefNode:
+    """A node of the reference reducer, independent of `c1p._Node`: one
+    node per leaf as well as per P- or Q-node.  A leaf holds its row as the
+    one bit of `leaves` and has no children; any other node has `leaves` 0
+    and every child, leaves included, in `children`, in order.  Prints as
+    the library's nodes do, a leaf as its row."""
+
+    __slots__ = ("kind", "children", "leaves", "mask")
+
+    def __init__(self, kind: str, children: list["_RefNode"], leaves: int = 0):
+        self.kind, self.children, self.leaves, self.mask = kind, children, leaves, leaves
+        for c in children:
+            self.mask |= c.mask
+
+    def __repr__(self) -> str:
+        if self.leaves:
+            return str(self.leaves.bit_length() - 1)
+        return f"{self.kind}({', '.join(map(repr, self.children))})"
+
+
+def reference_universal(rows: int) -> _RefNode:
+    """The reference's tree of every order of `rows` rows: one P-node over
+    one leaf node per row, or the leaf itself for one row."""
+    return _p_over([_RefNode(P, [], 1 << r) for r in range(rows)])
+
+
+def _classes(children: list[_RefNode], s: int) -> str:
     """One letter per child against column s: E(mpty), F(ull) or X (partial)."""
     return "".join("E" if not c.mask & s else "F" if c.mask & s == c.mask else "X" for c in children)
 
 
-def _p_over(nodes: list[_Node]) -> _Node:
+def _p_over(nodes: list[_RefNode]) -> _RefNode:
     """One P-node over the nodes, or the node itself when there is one."""
-    return nodes[0] if len(nodes) == 1 else _Node(P, nodes)
+    return nodes[0] if len(nodes) == 1 else _RefNode(P, nodes)
 
 
-def _reference_partial(node: _Node, s: int) -> list[_Node] | None:
+def _reference_partial(node: _RefNode, s: int) -> list[_RefNode] | None:
     """The templates at a partial node below the pertinent root, by
     recursion over its one partial child: its subtree as a flat list of
     nodes, empty side to full side, or None."""
@@ -449,7 +480,7 @@ def _reference_partial(node: _Node, s: int) -> list[_Node] | None:
     return ([_p_over(empties)] if empties else []) + inner + ([_p_over(fulls)] if fulls else [])
 
 
-def _reference_p_root(node: _Node, s: int) -> _Node | None:
+def _reference_p_root(node: _RefNode, s: int) -> _RefNode | None:
     """The P-node root templates, returning a new node with the same leaf
     set (or the node itself when it is all full), or None."""
     children = node.children
@@ -465,10 +496,10 @@ def _reference_p_root(node: _Node, s: int) -> _Node | None:
     if any(p is None for p in payloads):
         return None
     inner = payloads[0] + ([_p_over(fulls)] if fulls else []) + (payloads[1][::-1] if len(payloads) == 2 else [])
-    return _p_over(empties + [_Node(Q, inner)])
+    return _p_over(empties + [_RefNode(Q, inner)])
 
 
-def _reference_q_root(node: _Node, s: int) -> _Node | None:
+def _reference_q_root(node: _RefNode, s: int) -> _RefNode | None:
     """The Q-node root templates by scanning every child's pertinent leaves:
     empties, optional partial, fulls, optional partial, empties."""
     children = node.children
@@ -482,11 +513,11 @@ def _reference_q_root(node: _Node, s: int) -> _Node | None:
     last = [children[hi]] if letters[hi] == "F" else _reference_partial(children[hi], s)
     if first is None or last is None:
         return None
-    # a new node, so its prefix unions are built from scratch
-    return _Node(Q, children[:lo] + first + children[lo + 1 : hi] + last[::-1] + children[hi + 1 :])
+    # a new node, so its mask is built from scratch
+    return _RefNode(Q, children[:lo] + first + children[lo + 1 : hi] + last[::-1] + children[hi + 1 :])
 
 
-def reference_reduce(root: _Node, s: int) -> _Node | None:
+def reference_reduce(root: _RefNode, s: int) -> _RefNode | None:
     """One column by the child-scanning reducer, the reference for
     `c1p._reduce`: every node on the way down to the pertinent root, the
     root and every partial node below it are read by AND-ing the column with
@@ -511,16 +542,12 @@ def enumerate_frontiers(t: PQTree) -> set[tuple[int, ...]]:
         raise SizeGuardError(f"frontier enumeration limited to {FRONTIER_MAX_LEAVES} leaves")
 
     def orders(node):
-        if node.kind == LEAF:
-            yield (node.row,)
-            return
-        if node.kind == P:
-            arrangements = permutations(node.children)
-        else:
-            arrangements = (node.children, list(reversed(node.children)))
+        # a leaf bit has one order of its own; the rest expand recursively
+        parts = [((r,),) for r in _bits(node.leaves)] + [tuple(orders(c)) for c in node.children]
+        arrangements = permutations(parts) if node.kind == P else (parts, parts[::-1])
         for arr in arrangements:
-            for parts in product(*(tuple(orders(c)) for c in arr)):
-                yield tuple(x for part in parts for x in part)
+            for pieces in product(*arr):
+                yield tuple(x for piece in pieces for x in piece)
 
     return set(orders(t._root))
 
@@ -529,37 +556,43 @@ def pq_to_nested(t: PQTree):
     """Nested-tuple view of a PQ-tree, e.g. ('P', (0, ('Q', (1, 2, 3))))."""
 
     def conv(node):
-        if node.kind == LEAF:
-            return node.row
-        return (node.kind, tuple(conv(c) for c in node.children))
+        rows = _bits(node.leaves)
+        if len(rows) == 1 and not node.children:
+            return rows[0]
+        return (node.kind, tuple(rows) + tuple(conv(c) for c in node.children))
 
     return conv(t._root)
 
 
 def validate_pq_tree(t: PQTree) -> None:
-    """Assert structural invariants: leaf coverage, node arities, and each
-    internal node's prefix unions recomputed from its children (None on
-    leaves)."""
+    """Assert structural invariants: leaf coverage; a Q-node holds no leaf
+    bits and a P-node lists no leaf among its children; node arities, where
+    every node but a one-bit leaf has at least 2 leaves plus children (3
+    children for a Q-node); and each node's prefix unions recomputed from
+    its children, with mask = leaves | pre[-1]."""
     leaves: list[int] = []
     stack = [t._root]
     while stack:
         node = stack.pop()
-        if node.kind == LEAF:
-            if node.pre is not None:
-                raise AssertionError(f"leaf {node.row} carries prefix unions")
-            leaves.append(node.row)
-        else:
-            k = len(node.children)
-            if node.kind == P and k < 2:
-                raise AssertionError(f"P-node with {k} children")
-            if node.kind == Q and k < 3:
-                raise AssertionError(f"Q-node with {k} children")
-            pre = [0]
-            for c in node.children:
-                pre.append(pre[-1] | c.mask)
-            if node.pre != pre:
-                raise AssertionError(f"stale prefix unions on {node!r}")
-            stack.extend(node.children)
+        rows = _bits(node.leaves)
+        leaves += rows
+        k = len(rows) + len(node.children)
+        if node.kind == Q and node.leaves:
+            raise AssertionError(f"Q-node {node!r} holds leaf bits {rows}")
+        if node.kind == P and any(not c.children and c.leaves.bit_count() == 1 for c in node.children):
+            raise AssertionError(f"P-node {node!r} lists a leaf as a child")
+        if k < 2 and not (len(rows) == 1 and not node.children):
+            raise AssertionError(f"{node.kind}-node with {k} leaves plus children")
+        if node.kind == Q and k < 3:
+            raise AssertionError(f"Q-node with {k} children")
+        pre = [0]
+        for c in node.children:
+            pre.append(pre[-1] | c.mask)
+        if node.pre != pre:
+            raise AssertionError(f"stale prefix unions on {node!r}")
+        if node.mask != node.leaves | pre[-1]:
+            raise AssertionError(f"mask of {node!r} is not its leaves and its children's")
+        stack.extend(node.children)
     if sorted(leaves) != list(range(t.num_leaves)):
         raise AssertionError("leaves are not exactly the row indices")
 

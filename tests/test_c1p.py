@@ -8,6 +8,7 @@ exercises every reduction template.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from itertools import combinations, permutations
 
@@ -35,6 +36,7 @@ from support import (
     pq_to_nested,
     random_space,
     reference_reduce,
+    reference_universal,
     triple_two_way,
     valid_c1p_perms,
     validate_pq_tree,
@@ -142,6 +144,18 @@ class TestBitsetColumns:
             assert repr(split._root) == repr(whole._root)
             assert frontier(split) == frontier(whole)
 
+    def test_frontier_reads_leaves_in_printed_order(self):
+        # a P-node's leaf bits come first, ascending, then its other
+        # children, which is the order `repr` prints
+        rng = random.Random(29)
+        for _ in range(200):
+            rows = rng.randrange(1, 12)
+            t = test_c1p(planted_c1p_matrix(rng, rows, rng.randrange(1, 15)))
+            assert frontier(t) == tuple(map(int, re.findall(r"\d+", repr(t._root))))
+        t = reduce_columns(universal_tree(5), [0b00110])
+        assert repr(t._root) == "P(0, 3, 4, P(1, 2))"
+        assert frontier(t) == (0, 3, 4, 1, 2)
+
     def test_deep_partial_chain_leaves_recursion_limit_alone(self, monkeypatch):
         # nested prefixes {0..j} build a k-deep chain of P-nodes; {0, k+1}
         # then makes every node on that chain partial
@@ -167,13 +181,14 @@ class TestInPlaceTemplates:
             # the tree root, a P-node, meets a full leaf and a partial child
             (3, [{0, 1}, {1, 2}], (), "P(2, P(0, 1))", "Q(0, 1, 2)"),
             # the same P-node below the root, beside two empty leaves
-            (5, [{0, 1}, {0, 1, 2}, {1, 2}], (2,), "P(2, P(0, 1))", "Q(0, 1, 2)"),
+            (5, [{0, 1}, {0, 1, 2}, {1, 2}], (0,), "P(2, P(0, 1))", "Q(0, 1, 2)"),
             # a P-node root below the tree root with an empty child keeps it
-            (5, [{0, 1, 2}, {0, 1}], (2,), "P(0, 1, 2)", "P(2, P(0, 1))"),
+            (5, [{0, 1, 2}, {0, 1}], (0,), "P(0, 1, 2)", "P(2, P(0, 1))"),
         ],
         ids=["p-root-becomes-q-at-tree-root", "p-root-becomes-q-below", "p-root-with-empties-below"],
     )
     def test_p_root_rearranged_in_place(self, rows, columns, path, before, after):
+        # `path` indexes `children`, which lists no leaf of a P-node
         t = universal_tree(rows)
         bits = [sum(1 << r for r in c) for c in columns]
         for s in bits[:-1]:
@@ -246,7 +261,7 @@ class TestChildScanningReference:
             if trial % 2:
                 for _ in range(rng.randrange(1, 4)):
                     cols[rng.randrange(len(cols))] ^= 1 << rng.randrange(rows)
-            lib, ref = universal_tree(rows), universal_tree(rows)._root
+            lib, ref = universal_tree(rows), reference_universal(rows)
             for s in cols:
                 lib = reduce_columns(lib, [s])
                 if s.bit_count() > 1 and s != ref.mask:  # reduce_columns skips the others
@@ -278,7 +293,7 @@ class TestBruteForceAfterEveryColumn:
                 m = BinaryMatrix([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
             else:
                 m = planted_c1p_matrix(rng, rows, cols)
-            lib, ref = universal_tree(rows), universal_tree(rows)._root
+            lib, ref = universal_tree(rows), reference_universal(rows)
             root = lib._root
             good = set(permutations(range(rows)))
             for column in zip(*m.data):
