@@ -96,21 +96,22 @@ def checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[in
 class Tree:
     """An undirected tree on n vertices (exactly n-1 edges, connected).
 
-    The constructor builds the adjacency in its one pass over the edges,
-    checking each endpoint's range before indexing, and validates by one
-    BFS from vertex 0: n-1 edges form a tree iff that walk reaches all n
-    vertices.  A self-loop or a repeated edge leaves at most n-2 distinct
-    edges, too few to connect n vertices, so the walk needs no cycle test.
-    Only when it falls short does checked_edges name the first self-loop,
-    range fault or duplicate in edge order; if there is none, the edges
-    contain a cycle.  The walk's order and parent array (-1 at vertex 0)
-    are kept for find_centroid, orient_all_robinson, count_xi and the
-    premise check.
+    The constructor keeps no per-vertex container.  One pass over the
+    edges, range-checking each endpoint before indexing, counts each
+    vertex's edges and XORs its neighbours; then leaves other than vertex 0
+    are peeled, each one's parent its XOR, the one neighbour left.  n-1
+    edges form a tree iff all n-1 are peeled: a vertex on a cycle, a
+    self-loop or a repeat never gets down to one edge, and a leaf whose
+    neighbour went first gets down to none.  Only when the peel falls
+    short does checked_edges name the first self-loop, range fault or
+    duplicate in edge order; if there is none, the edges contain a cycle.
+    The parent array (-1 at vertex 0) and the peel reversed, a walk from 0
+    that reaches each parent before its children, are kept for
+    find_centroid, orient_all_robinson, count_xi and the premise check.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: list[list[int]] = field(init=False, repr=False, compare=False)
     _order: list[int] = field(init=False, repr=False, compare=False)
     _parent: list[int] = field(init=False, repr=False, compare=False)
 
@@ -120,40 +121,46 @@ class Tree:
             raise InputError("tree needs at least one vertex")
         if len(edge_list) != n - 1:
             raise InputError(f"tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        deg, nbx = [0] * n, [0] * n
         for u, v in edge_list:
             if not (0 <= u < n and 0 <= v < n):
-                break  # fewer than n-1 edges added: the walk falls short
-            adj[u].append(v)
-            adj[v].append(u)
-        parent = [-1] * n
-        parent[0] = 0
-        order = [0]
-        for x in order:
-            for y in adj[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    order.append(y)
-        if len(order) < n:
+                break  # fewer than n-1 edges counted: the peel falls short
+            deg[u] += 1
+            deg[v] += 1
+            nbx[u] ^= v
+            nbx[v] ^= u
+        order = []
+        for x in range(1, n):
+            while x and deg[x] == 1:  # peel x, then its parent if now a leaf
+                p = nbx[x]
+                deg[x] = 0
+                deg[p] -= 1
+                nbx[p] ^= x
+                order.append(x)
+                x = p
+        if len(order) < n - 1:
             for _ in checked_edges(n, edge_list):
                 pass
             raise InputError("edges contain a cycle")
-        parent[0] = -1
+        nbx[0] = -1  # a peeled vertex's XOR is its parent
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_list)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_order", [0, *reversed(order)])
+        object.__setattr__(self, "_parent", nbx)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbours of each vertex, in edge order: a read-only copy of
-        the lists the constructor built, made on first use."""
-        return tuple(map(tuple, self._adj))
+        """The neighbours of each vertex, in edge order, built from the
+        edges on first use."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _sizes(self) -> list[int]:
-        """Subtree sizes of the walk from vertex 0."""
+        """Subtree sizes of the tree rooted at vertex 0."""
         parent = self._parent
         size = [1] * self.n
         for x in self._order[:0:-1]:
@@ -202,7 +209,7 @@ class OrientedTree:
         ot = cls.__new__(cls)
         object.__setattr__(ot, "tree", tree)
         object.__setattr__(
-            ot, "arcs", tuple([(v, u) if f else (u, v) for (u, v), f in zip(tree.edges, flags)])
+            ot, "arcs", tuple([e[::-1] if f else e for e, f in zip(tree.edges, flags)])
         )
         return ot
 
@@ -272,10 +279,10 @@ def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:
 
     pred[a, b] is the vertex before b on the path from a, so p = pred[a, b]
     and h = pred[b, a]; a pair one edge apart has p = a and h = b, so it
-    never breaks.  Row 0 is the parent array of the tree's BFS from vertex
-    0, and a later vertex's row, in that BFS order, is its parent's with
-    one entry changed, pred[a, parent] = a; the diagonal, pred[a, a] = a,
-    is set last.  Both tests are one gather of row x at pred[x, y]: from d
+    never breaks.  Row 0 is the parent array of the tree rooted at vertex
+    0, and any other vertex's row is its parent's with one entry changed,
+    pred[a, parent] = a, filled in the tree's walk, each parent before its
+    children; the diagonal, pred[a, a] = a, is set last.  Both tests are one gather of row x at pred[x, y]: from d
     for d(a,p), with x = a, and from d.T for d(h,b), with x = b, transposed
     back.  Each gather stays within a row, and the transient is three
     n-by-n arrays: pred, d.T and one gather.

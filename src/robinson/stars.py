@@ -114,15 +114,15 @@ def _guarded_rows(space: DissimilaritySpace) -> list[list[float]]:
 
 
 def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
-    """The petal partition of N(x) in t.  O(deg(x)^2): only the submatrix
-    on x and its neighbors is read, in one gather from d.  Tree has already
-    checked that every neighbor lies in 0..n-1, so only x is checked here."""
+    """The petal partition of N(x) in t, in O(n + deg(x)^2): one scan of
+    the edges lists the neighbors, all in range as Tree checked, and one
+    gather from d reads the submatrix on x and them; only x is checked."""
     _require_symmetric(space)
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
     if not 0 <= x < t.n:
         raise InputError(f"center {x} out of range")
-    local = [x, *t._adj[x]]  # local index i is vertex local[i]; x is 0
+    local = [x, *(u ^ v ^ x for u, v in t.edges if u == x or v == x)]  # i is vertex local[i]
     rows = space.d[np.ix_(local, local)].tolist()
     groups = [
         tuple(sorted(local[i] for i in g))

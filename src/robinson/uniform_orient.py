@@ -42,23 +42,14 @@ def verify_all_paths_robinson(space: DissimilaritySpace, t: Tree) -> bool:
 def find_centroid(t: Tree) -> int:
     """A vertex none of whose removal components exceeds n/2 vertices.
 
-    O(n), and no walk of its own: read the subtree sizes of the tree's BFS
-    from vertex 0, then walk from 0 toward the unique too-big component
-    until none remains; the first valid vertex on that walk is returned
-    (even n can have two valid centroids).
+    O(n), one scan of the subtree sizes of the tree rooted at vertex 0:
+    the vertices with more than n/2 in their subtree form a path down from
+    0, and the last, of least size, is a centroid, its children holding at
+    most n/2 and the rest of the tree less.  When n is even and two
+    centroids exist, it is the one nearer vertex 0.
     """
-    n, parent, size, adj = t.n, t._parent, t._sizes, t._adj
-    x = 0
-    while True:
-        heavy = -1
-        for y in adj[x]:
-            comp = size[y] if parent[y] == x else n - size[x]
-            if 2 * comp > n:
-                heavy = y
-                break
-        if heavy < 0:
-            return x
-        x = heavy
+    size = t._sizes
+    return size.index(min(s for s in size if 2 * s > t.n))
 
 
 def _subset_sum(weights: Sequence[int], cap: int) -> tuple[int, tuple[int, ...]]:
@@ -115,13 +106,14 @@ def orient_all_robinson(
     space may be None when no verification is requested.
 
     Nothing walks the tree again: everything is re-rooted from the subtree
-    sizes of the tree's BFS from vertex 0.  The centroid's components have
-    sizes size[y] for its children and n - size[center] above it; the depth
-    sum from the centroid is sum(size) - n, the one from vertex 0, plus
-    n - 2*size[c] for each c on the path from 0 down to the centroid; and
-    an edge's endpoint away from the centroid is its child from vertex 0,
-    except on that path, where it is the parent.  The arcs go to
-    OrientedTree.from_reversed, one flag per edge.
+    sizes of the tree rooted at vertex 0.  One scan of the edges lists the
+    centroid's neighbours in edge order, the subset-sum's tie-break; their
+    components have sizes size[y] for its children and n - size[center]
+    above it.  The depth sum from the centroid is sum(size) - n, the one
+    from vertex 0, plus n - 2*size[c] for each c on the path from 0 down to
+    the centroid; and an edge's endpoint away from the centroid is its
+    child from vertex 0, except on that path, where it is the parent.  The
+    arcs go to OrientedTree.from_reversed, one flag per edge.
     """
     if space is not None and space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
@@ -133,7 +125,7 @@ def orient_all_robinson(
     n = t.n
     center = find_centroid(t)
     parent, size = t._parent, t._sizes
-    heads = t._adj[center]
+    heads = [u ^ v ^ center for u, v in t.edges if u == center or v == center]
     above = parent[center]  # -1 when the centroid is vertex 0
     k, chosen = optimal_partition_of_neighbors(
         [n - size[center] if y == above else size[y] for y in heads], n

@@ -653,29 +653,30 @@ def reference_tree_faults(n: int, edges) -> list[str]:
     return faults
 
 
-def reference_orient_all_robinson(t: Tree) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """The centroid, the arcs (aligned with t.edges) and xi of the uniform
-    orientation, by two walks: a BFS with subtree sizes from vertex 0 finds
-    the centroid, walking toward the too-big component, and a second BFS
-    from the centroid gives each vertex its component head, the depth sum
-    and every edge's endpoint away from the centroid."""
-    def rooted(root: int) -> tuple[list[int], list[int], list[int]]:
-        parent = [-1] * t.n
-        parent[root] = root
-        order = [root]
-        for x in order:
-            for y in t.adjacency[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    order.append(y)
-        parent[root] = -1
-        size = [1] * t.n
-        for x in reversed(order[1:]):
-            size[parent[x]] += size[x]
-        return order, parent, size
+def bfs_rooted(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """The BFS order from root over t.adjacency, the parent array (-1 at
+    the root) and every vertex's subtree size."""
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in t.adjacency[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    parent[root] = -1
+    size = [1] * t.n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    return order, parent, size
 
+
+def reference_centroid(t: Tree) -> int:
+    """The centroid reached by walking from vertex 0 toward the one
+    component of more than n/2 vertices until none is left: the one nearer
+    vertex 0 when n is even and there are two."""
     n = t.n
-    _, parent, size = rooted(0)
+    _, parent, size = bfs_rooted(t, 0)
     center = 0
     while True:
         heavy = [
@@ -683,9 +684,19 @@ def reference_orient_all_robinson(t: Tree) -> tuple[int, tuple[tuple[int, int], 
             if 2 * (size[y] if parent[y] == center else n - size[center]) > n
         ]
         if not heavy:
-            break
+            return center
         center = heavy[0]
-    order, parent, size = rooted(center)
+
+
+def reference_orient_all_robinson(t: Tree) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """The centroid, the arcs (aligned with t.edges) and xi of the uniform
+    orientation, by two walks: a BFS with subtree sizes from vertex 0 finds
+    the centroid, walking toward the too-big component, and a second BFS
+    from the centroid gives each vertex its component head, the depth sum
+    and every edge's endpoint away from the centroid."""
+    n = t.n
+    center = reference_centroid(t)
+    order, parent, size = bfs_rooted(t, center)
     heads = t.adjacency[center]
     k, chosen = optimal_partition_of_neighbors([size[y] for y in heads], n)
     inward_heads = {heads[i] for i in chosen}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from robinson import (
     Tree,
     check_compatible,
     count_xi,
+    find_centroid,
     is_one_way_order,
     is_two_way_order,
 )
 from robinson.core import RUN_MIN, _first_failing_pair, failing_pair
 from support import (
     CYCLE,
+    bfs_rooted,
     maximal_directed_paths,
     maximal_path_check,
     path_tree,
@@ -33,6 +36,7 @@ from support import (
     random_tree,
     reach_sizes,
     reachability,
+    reference_centroid,
     reference_first_failing_pair,
     reference_tree_faults,
     star_tree,
@@ -195,6 +199,78 @@ class TestConstruction:
             elif faults[0] == CYCLE and want != CYCLE:
                 seen.add("cycle first")
         assert seen == {"self-loop", "edge", "duplicate", "edges", "cycle first"}
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(2, 1), (3, 2)], "edge (3, 2) out of range for n=3"),
+            (5, [(1, 2), (0, 3), (3, 4), (4, 0)], CYCLE),
+        ],
+        ids=["range-fault", "cycle"],
+    )
+    def test_leaf_pair_away_from_vertex_0_is_no_tree(self, n, edges, message):
+        # peeling 1 leaves 2 with no edge: 2 is not peeled, so the peel
+        # falls short of n-1 vertices
+        with pytest.raises(InputError) as exc:
+            Tree(n, edges)
+        assert str(exc.value) == message
+
+
+def spider_tree(legs: int, length: int, center: int) -> Tree:
+    """A centre with `legs` paths of `length` vertices each, the centre
+    labelled `center` and the legs taking the other labels in order."""
+    n = 1 + legs * length
+    others = [v for v in range(n) if v != center]
+    edges = []
+    for i in range(legs):
+        leg = others[i * length:(i + 1) * length]
+        edges += zip([center] + leg, leg)
+    return Tree(n, edges)
+
+
+def rooting_family(name: str) -> list[Tree]:
+    rng = random.Random(27)
+    if name == "pruefer":
+        trees = []
+        for n in (*range(3, 40), *rng.sample(range(40, 301), 20)):
+            t = random_tree(rng, n)
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in t.edges]
+            rng.shuffle(edges)
+            trees += [t, Tree(n, edges)]
+        return trees
+    if name == "path":
+        return [path_tree(range(5000)), path_tree(range(4999, -1, -1))]
+    if name == "star":
+        return [star_tree(n, c) for n in (3, 4, 101) for c in (0, n - 1)]
+    if name == "spider":
+        shapes = [(2, 3), (3, 4), (7, 2), (50, 3), (4, 25)]
+        return [spider_tree(k, m, c) for k, m in shapes for c in (0, k * m, 1 + m // 2)]
+    return [Tree(1, []), Tree(2, [(0, 1)]), Tree(2, [(1, 0)])]
+
+
+class TestTreeRooting:
+    """The leaf peel's parent array, subtree sizes and walk, and the
+    centroid read off them, against a BFS from vertex 0."""
+
+    @pytest.mark.parametrize("family", ["pruefer", "path", "star", "spider", "tiny"])
+    def test_matches_bfs_reference(self, family):
+        for t in rooting_family(family):
+            n = t.n
+            # the neighbours of each vertex in edge order, by sorting the
+            # incidences (vertex, edge index, neighbour)
+            incidences = sorted((x, i, y) for i, e in enumerate(t.edges) for x, y in (e, e[::-1]))
+            want = [()] * n
+            for x, group in groupby(incidences, key=lambda inc: inc[0]):
+                want[x] = tuple(y for _, _, y in group)
+            assert t.adjacency == tuple(want), t.edges
+            _, parent, size = bfs_rooted(t, 0)
+            assert t._parent == parent, t.edges
+            assert t._sizes == size, t.edges
+            order = t._order
+            assert order[0] == 0 and sorted(order) == list(range(n)), t.edges
+            position = {x: i for i, x in enumerate(order)}
+            assert all(position[parent[x]] < position[x] for x in order[1:]), t.edges
+            assert find_centroid(t) == reference_centroid(t), t.edges
 
 
 class TestIsOneWayOrder:
