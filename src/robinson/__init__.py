@@ -17,7 +17,7 @@ from .core import (
     is_two_way_order,
 )
 from .errors import InputError, PreconditionError, SizeGuardError
-from .oracle import Segment, segment
+from .oracle import segment
 from .paths import EtaTable, eta_table, path_orientation
 from .recognition import recognize_two_way
 from .reductions import (
@@ -58,7 +58,6 @@ __all__ = [
     "PQTree",
     "PetalPartition",
     "PreconditionError",
-    "Segment",
     "SimpleGraph",
     "SizeGuardError",
     "StarAssignment",

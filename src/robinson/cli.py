@@ -66,12 +66,6 @@ def _parse_order(text: str) -> list[int]:
         raise InputError(f"bad order {text!r}") from exc
 
 
-def _star(n: int, center: int) -> Tree:
-    if not 0 <= center < n:
-        raise InputError(f"center {center} out of range")
-    return Tree(n, [(center, v) for v in range(n) if v != center])
-
-
 def _write_instance(prefix: str, inst) -> dict:
     """Write the generated space, its kappa and its vertex roles."""
     fileio.write_matrix(inst.space, f"{prefix}.matrix")
@@ -101,7 +95,7 @@ def _cmd_orient_tree(args):
 def _cmd_orient_star(args):
     space = fileio.read_matrix(args.matrix)
     c = best_star_center(space) if args.center is None else args.center
-    ot, xi = orient_star(space, _star(space.n, c), c)
+    ot, xi = orient_star(space, c)
     return {"xi": xi, "orientation": ot.arcs, "center": c}
 
 
@@ -122,7 +116,7 @@ def _cmd_assign_star(args):
 
 def _cmd_petals(args):
     space = fileio.read_matrix(args.matrix)
-    part = petals(space, _star(space.n, args.center), args.center)
+    part = petals(space, Tree.star(space.n, args.center), args.center)
     return {"center": args.center, "petals": part.petals}
 
 
@@ -138,7 +132,7 @@ def _cmd_gen_subset(args):
 
 
 def _cmd_gen_assign(args):
-    ot = build_assignment_instance(fileio.read_matrix(args.matrix), args.kappa)
+    ot = build_assignment_instance(fileio.read_matrix(args.matrix).n, args.kappa)
     fileio.write_oriented_tree(ot, f"{args.out_prefix}.orient")
     return {"orientation": ot.arcs, "kappa": args.kappa}
 

@@ -167,8 +167,12 @@ class Tree:
             size[parent[x]] += size[x]
         return size
 
-    def is_star(self, center: int) -> bool:
-        return all(center in e for e in self.edges)
+    @classmethod
+    def star(cls, n: int, center: int) -> "Tree":
+        """The star K_{1,n-1} on 0..n-1: edges (center, v), v ascending."""
+        if not 0 <= center < n:
+            raise InputError(f"center {center} out of range")
+        return cls(n, [(center, v) for v in range(n) if v != center])
 
 
 @dataclass(frozen=True)
@@ -282,10 +286,11 @@ def _tree_breaks(d: np.ndarray, t: Tree) -> np.ndarray:
     never breaks.  Row 0 is the parent array of the tree rooted at vertex
     0, and any other vertex's row is its parent's with one entry changed,
     pred[a, parent] = a, filled in the tree's walk, each parent before its
-    children; the diagonal, pred[a, a] = a, is set last.  Both tests are one gather of row x at pred[x, y]: from d
-    for d(a,p), with x = a, and from d.T for d(h,b), with x = b, transposed
-    back.  Each gather stays within a row, and the transient is three
-    n-by-n arrays: pred, d.T and one gather.
+    children; the diagonal, pred[a, a] = a, is set last.  Both tests are
+    one gather of row x at pred[x, y]: from d for d(a,p), with x = a, and
+    from d.T for d(h,b), with x = b, transposed back.  Each gather stays
+    within a row, and the transient is three n-by-n arrays: pred, d.T and
+    one gather.
     """
     n, parent = t.n, t._parent
     pred = np.empty((n, n), dtype=np.intp)

@@ -33,8 +33,8 @@ def _read_text(path: str | Path) -> str:
 
 
 def _content_lines(path: str | Path) -> list[str]:
-    text = _read_text(path)
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    lines = map(str.strip, _read_text(path).splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def _parse_header(lines: list[str], what: str, count: int = 1) -> list[int]:

@@ -11,7 +11,6 @@ with the algorithm it certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from typing import Optional
@@ -56,30 +55,21 @@ def brute_optimal_orientation(space: DissimilaritySpace, t: Tree) -> tuple[int, 
     return best, witness
 
 
-@dataclass(frozen=True)
-class Segment:
-    """The set of points lying 'between' x and y in every compatible order."""
-
-    x: int
-    y: int
-    members: frozenset[int]
-
-
-def segment(space: DissimilaritySpace, x: int, y: int) -> Segment:
+def segment(space: DissimilaritySpace, x: int, y: int) -> frozenset[int]:
     """S(x,y) = {t : d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x))},
-    one point at a time: the scalar reference for recognition's segment columns."""
+    the points lying 'between' x and y in every compatible order, found one
+    point at a time: the scalar reference for recognition's segment columns."""
     if x == y:
         raise InputError("segment anchors must be distinct")
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise InputError(f"segment anchors ({x}, {y}) out of range")
     d = space.d
     dxy, dyx = d[x, y], d[y, x]
-    members = frozenset(
+    return frozenset(
         t
         for t in range(space.n)
         if dxy >= d[x, t] and dxy >= d[t, y] and dyx >= d[y, t] and dyx >= d[t, x]
     )
-    return Segment(x, y, members)
 
 
 def brute_two_way(space: DissimilaritySpace) -> Optional[VertexOrder]:

@@ -25,13 +25,12 @@ from .errors import SizeGuardError
 
 # recognition refuses larger spaces: a call builds and reduces each column
 # at most once, but rounds are bounded only by the number of columns.  At
-# the limit (direct calls, best of 3, two runs side by side) a planted YES
-# takes 0.12-0.17 s in one round of n-1 columns, most of it in the C1P
-# reducer, a rounded planted space 0.28-0.46 s in 4-5 rounds, a random
-# ultrametric 0.23-0.37 s in 4-5 rounds, the line |i - j| in label order
-# 0.12-0.13 s (0.26-0.31 s side by side with a tree that held each leaf as
-# a node), and the comb ultrametric, the slowest YES family known,
-# 0.71-1.20 s in 5-6 rounds, most of it descending its deep PQ-tree;
+# the limit (direct calls, best of 3) a planted YES takes 0.12-0.17 s in
+# one round of n-1 columns, most of it in the C1P reducer, a rounded
+# planted space 0.28-0.46 s in 4-5 rounds, a random ultrametric
+# 0.23-0.37 s in 4-5 rounds, the line |i - j| in label order 0.12-0.13 s,
+# and the comb ultrametric, the slowest YES family known, 0.71-1.20 s in
+# 5-6 rounds, most of it descending its deep PQ-tree;
 # `robinson recognize` peaks at about 108 MB RSS, set by reading the text
 # file, or 100 MB on a rounded file (2-core Xeon, Python 3.11)
 MAX_POINTS = 1500

@@ -101,14 +101,18 @@ class Cnf3:
 
 
 def parse_dimacs(text: str) -> Cnf3:
-    """DIMACS CNF with a `p cnf n m` header; clauses terminated by 0.
-    Clauses with other than three literals are rejected."""
+    """DIMACS CNF with a `p cnf n m` header; clauses terminated by 0.  A
+    line starting with `%` ends the formula, as in SATLIB files, whose
+    trailer is `%` and then `0`.  Clauses with other than three literals
+    are rejected."""
     header: Optional[tuple[int, int]] = None
     literals: list[int] = []
     clauses: list[list[int]] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # the SATLIB trailer: what follows is not a clause
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -254,7 +258,6 @@ class SubsetInstance:
     space: DissimilaritySpace
     kappa: int
     vertex_roles: dict[int, str]
-    graph: SimpleGraph
 
 
 def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
@@ -279,15 +282,15 @@ def build_subset_instance(g: SimpleGraph) -> SubsetInstance:
             d[y, block] = 1.0
             d[block, y] = 1.0
     np.fill_diagonal(d, 0.0)
-    return SubsetInstance(DissimilaritySpace(d), n * (m + 1) + n - 1, roles, g)
+    return SubsetInstance(DissimilaritySpace(d), n * (m + 1) + n - 1, roles)
 
 
-def build_assignment_instance(space: DissimilaritySpace, kappa: int) -> OrientedTree:
-    """The oriented path whose compatible assignments are exactly the
-    bijections placing a Robinson subset of size kappa on the monotone
-    prefix: positions 1..kappa run forward, the tail alternates so every
-    maximal directed path there has a single edge."""
-    n = space.n
+def build_assignment_instance(n: int, kappa: int) -> OrientedTree:
+    """The oriented path on n positions whose compatible assignments, for a
+    space of n points, are exactly the bijections placing a Robinson subset
+    of size kappa on the monotone prefix: positions 1..kappa run forward,
+    the tail alternates so every maximal directed path there has a single
+    edge."""
     if not 1 <= kappa <= n:
         raise InputError(f"kappa={kappa} out of range for n={n}")
     # edge t joins positions t-1 and t; from t = kappa on, every other

@@ -44,11 +44,11 @@ MAX_POINTS = 500
 
 @dataclass(frozen=True)
 class PetalPartition:
-    """Disjoint neighbor groups covering N(center), each forced to a single
-    direction in every compatible orientation.  Canonical form: members
-    ascending, petals by smallest member."""
+    """Disjoint neighbor groups covering N(x) for the center x that
+    `petals` was given, each forced to a single direction in every
+    compatible orientation.  Canonical form: members ascending, petals by
+    smallest member."""
 
-    center: int
     petals: tuple[tuple[int, ...], ...]
 
 
@@ -129,7 +129,7 @@ def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
         for g in _petal_closure(rows, 0, range(1, len(local)))
     ]
     groups.sort(key=lambda g: g[0])
-    return PetalPartition(x, tuple(groups))
+    return PetalPartition(tuple(groups))
 
 
 def best_star_center(space: DissimilaritySpace) -> int:
@@ -168,23 +168,20 @@ def best_star_center(space: DissimilaritySpace) -> int:
     return best_center
 
 
-def orient_star(
-    space: DissimilaritySpace, t: Tree, center: int
-) -> tuple[OrientedTree, int]:
-    """Optimal compatible orientation of a star: whole petals in or out,
-    the In total k chosen by the balanced subset-sum over petal sizes.
-    Each leaf-center arc is a path and every In leaf reaches every Out
-    leaf, so xi = (n-1) + k*(n-1-k).  petals checks symmetry, the sizes
-    and the center's range."""
-    if not t.is_star(center):
-        raise InputError(f"tree is not a star centered at {center}")
-    n = t.n
+def orient_star(space: DissimilaritySpace, center: int) -> tuple[OrientedTree, int]:
+    """Optimal compatible orientation of the star K_{1,n-1} centered at
+    `center` (Tree.star, which checks the center's range): whole petals in
+    or out, the In total k chosen by the balanced subset-sum over petal
+    sizes.  Each leaf-center arc is a path and every In leaf reaches every
+    Out leaf, so xi = (n-1) + k*(n-1-k).  petals checks symmetry."""
+    n = space.n
+    t = Tree.star(n, center)
     part = petals(space, t, center)
     # through the module, so a wrapper on the attribute sees the call
     k, chosen = uniform_orient.optimal_partition_of_neighbors([len(p) for p in part.petals], n)
     inward = {v for i in chosen for v in part.petals[i]}
-    # an In leaf's arc points to the center
-    flags = [v in inward if u == center else u not in inward for u, v in t.edges]
+    # edge (center, v) is reversed where v is In: its arc points to the center
+    flags = [v in inward for _, v in t.edges]
     return OrientedTree.from_reversed(t, flags), (n - 1) + k * (n - 1 - k)
 
 

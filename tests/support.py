@@ -146,10 +146,6 @@ def tree_from_pruefer(n: int, seq: list[int]) -> Tree:
     return Tree(n, edges)
 
 
-def star_tree(n: int, center: int = 0) -> Tree:
-    return Tree(n, [(center, v) for v in range(n) if v != center])
-
-
 def component_sizes(t: Tree, center: int) -> list[int]:
     """Vertex count of each component of t minus center, in adjacency order."""
     sizes = []

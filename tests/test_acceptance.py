@@ -53,7 +53,6 @@ from support import (
     planted_two_way_space,
     random_space,
     random_tree,
-    star_tree,
     valid_c1p_perms,
 )
 
@@ -161,7 +160,7 @@ def test_criterion_02_segments_are_intervals():
             for y in range(n):
                 if x == y:
                     continue
-                ps = sorted(pos[t] for t in segment(space, x, y).members)
+                ps = sorted(pos[t] for t in segment(space, x, y))
                 assert ps[-1] - ps[0] + 1 == len(ps), (x, y, order)
         recognized += 1
     _report(2, "interval property", "200 recognized spaces, every segment contiguous", start)
@@ -246,8 +245,8 @@ def test_criterion_06_stars():
     for trial in range(300):
         n = rng.randrange(3, 13)
         space = random_space(rng, n, values=[1.0, 2.0, 3.0], symmetric=True)
-        t = star_tree(n)
-        ot, xi = orient_star(space, t, 0)
+        t = Tree.star(n, 0)
+        ot, xi = orient_star(space, 0)
         assert check_compatible(space, ot)
         assert count_xi(ot) == xi
         best, _ = brute_optimal_orientation(space, t)
@@ -265,7 +264,7 @@ def test_criterion_06_stars():
             want = False
             for center in range(n):
                 others = [v for v in range(n) if v != center]
-                st = star_tree(n, center)
+                st = Tree.star(n, center)
                 for inward in itertools.combinations(others, a):
                     arcs = [(v, center) if v in inward else (center, v) for v in others]
                     if check_compatible(space, OrientedTree(st, arcs)):

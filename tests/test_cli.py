@@ -461,6 +461,23 @@ class TestCommands:
         assert roles[0] == "0 y"
         assert len(roles) == 65
 
+    def test_gen_sat_satlib_trailer(self, tmp_path, capsys):
+        # the `%` and `0` that end a SATLIB file add no clause: the same
+        # report and the same four files as the formula without them
+        formula = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+        reports, files = [], []
+        for name, text in (("plain", formula), ("satlib", formula + "%\n0\n")):
+            dimacs = tmp_path / f"{name}.cnf"
+            dimacs.write_text(text)
+            prefix = tmp_path / name
+            code, out, _ = run(capsys, "gen", "sat", str(dimacs), "--out-prefix", str(prefix))
+            assert code == 0
+            reports.append(out)
+            files.append([Path(f"{prefix}.{ext}").read_bytes()
+                          for ext in ("matrix", "tree", "kappa", "roles")])
+        assert reports[0] == reports[1]
+        assert files[0] == files[1]
+
     def test_gen_subset_files(self, tmp_path, capsys):
         graph = tmp_path / "g.graph"
         graph.write_text("2\n0 1\n")

@@ -39,7 +39,6 @@ from support import (
     reference_centroid,
     reference_first_failing_pair,
     reference_tree_faults,
-    star_tree,
     tree_from_pruefer,
     tree_path,
     triple_one_way,
@@ -215,6 +214,14 @@ class TestConstruction:
             Tree(n, edges)
         assert str(exc.value) == message
 
+    def test_star_edges_and_center_range(self):
+        assert Tree.star(4, 2).edges == ((2, 0), (2, 1), (2, 3))
+        assert Tree.star(1, 0).edges == ()
+        for n, center in ((4, 4), (4, -1), (0, 0)):
+            with pytest.raises(InputError) as exc:
+                Tree.star(n, center)
+            assert str(exc.value) == f"center {center} out of range"
+
 
 def spider_tree(legs: int, length: int, center: int) -> Tree:
     """A centre with `legs` paths of `length` vertices each, the centre
@@ -241,7 +248,7 @@ def rooting_family(name: str) -> list[Tree]:
     if name == "path":
         return [path_tree(range(5000)), path_tree(range(4999, -1, -1))]
     if name == "star":
-        return [star_tree(n, c) for n in (3, 4, 101) for c in (0, n - 1)]
+        return [Tree.star(n, c) for n in (3, 4, 101) for c in (0, n - 1)]
     if name == "spider":
         shapes = [(2, 3), (3, 4), (7, 2), (50, 3), (4, 25)]
         return [spider_tree(k, m, c) for k, m in shapes for c in (0, k * m, 1 + m // 2)]
@@ -378,7 +385,7 @@ class TestCountXi:
         rng = random.Random(29)
         trees = [Tree(1, [])]
         for n in range(2, 41):
-            trees += [star_tree(n, rng.randrange(n)), path_tree(rng.sample(range(n), n))]
+            trees += [Tree.star(n, rng.randrange(n)), path_tree(rng.sample(range(n), n))]
             trees += [random_tree(rng, n) for _ in range(5)]
         for t in trees:
             for flags in self.directions(rng, t):
@@ -839,7 +846,7 @@ def test_every_exported_name_resolves():
     assert sorted(robinson.__all__) == [
         "BinaryMatrix", "Cnf3", "DissimilaritySpace", "EtaTable", "InputError",
         "OrientationInstance", "OrientedTree", "PQTree", "PetalPartition",
-        "PreconditionError", "Segment", "SimpleGraph", "SizeGuardError",
+        "PreconditionError", "SimpleGraph", "SizeGuardError",
         "StarAssignment", "SubsetInstance", "Tree", "VertexOrder", "assign_star",
         "best_star_center", "build_assignment_instance", "build_orientation_instance",
         "build_subset_instance", "check_compatible", "count_xi", "eta_table",

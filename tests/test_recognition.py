@@ -42,13 +42,13 @@ def constant_space(n):
 class TestSegment:
     def test_two_points(self):
         s = segment(constant_space(2), 0, 1)
-        assert s.members == {0, 1}
+        assert s == {0, 1}
 
     def test_chain_outer_pair_holds_all(self):
-        assert segment(CHAIN3, 0, 2).members == {0, 1, 2}
+        assert segment(CHAIN3, 0, 2) == {0, 1, 2}
 
     def test_chain_inner_pair_only_anchors(self):
-        assert segment(CHAIN3, 0, 1).members == {0, 1}
+        assert segment(CHAIN3, 0, 1) == {0, 1}
 
     def test_anchors_always_members(self):
         rng = random.Random(23)
@@ -56,7 +56,7 @@ class TestSegment:
             space = random_space(rng, 5)
             x, y = rng.sample(range(5), 2)
             s = segment(space, x, y)
-            assert x in s.members and y in s.members
+            assert x in s and y in s
 
     def test_same_anchor_rejected(self):
         with pytest.raises(InputError):
@@ -72,7 +72,7 @@ def assert_tensor_matches_segment(space):
     """Every (x, y) slice of the membership tensor holds exactly S(x, y)."""
     m = membership_tensor(space)
     for x, y in permutations(range(space.n), 2):
-        assert set(np.flatnonzero(m[x, y])) == segment(space, x, y).members
+        assert set(np.flatnonzero(m[x, y])) == segment(space, x, y)
     return m
 
 
@@ -127,7 +127,7 @@ class TestSegmentColumns:
             cols = _segment_columns(space.d, np.ascontiguousarray(space.d.T), x, y)
             assert cols.shape == (len(x), n)
             for row, a, b in zip(cols, x, y):
-                assert set(np.flatnonzero(row)) == segment(space, int(a), int(b)).members
+                assert set(np.flatnonzero(row)) == segment(space, int(a), int(b))
 
     def test_planted_no_builds_one_round_of_columns(self, monkeypatch, reductions):
         # the obstruction sits on points 0, 1 and 2, one of which is the
@@ -192,7 +192,7 @@ class TestBreaks:
         pairs = 0
         for space, order, D in self.permuted(rng):
             for i, k in zip(*np.nonzero(_breaks(D) | _breaks(D.T))):
-                pos = {order.index(t) for t in segment(space, order[i], order[k]).members}
+                pos = {order.index(t) for t in segment(space, order[i], order[k])}
                 assert {i, k} <= pos and not {i + 1, k - 1} <= pos
                 assert max(pos) - min(pos) + 1 > len(pos)
                 pairs += 1
@@ -292,7 +292,7 @@ class TestRecognize:
                 for y in range(space.n):
                     if x == y:
                         continue
-                    ps = sorted(pos[t] for t in segment(space, x, y).members)
+                    ps = sorted(pos[t] for t in segment(space, x, y))
                     assert ps[-1] - ps[0] + 1 == len(ps)
 
     @pytest.mark.parametrize("n", [40, 80, 120])

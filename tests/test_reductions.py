@@ -72,6 +72,13 @@ class TestDimacs:
     def test_missing_final_zero_tolerated(self):
         assert parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 -3\n").clauses == ((1, 2, 3), (-1, -2, -3))
 
+    def test_satlib_trailer_ends_the_formula(self):
+        # SATLIB files end with a `%` line and then a lone 0, which is no
+        # empty clause
+        text = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+        assert parse_dimacs(text + "%\n0\n\n") == parse_dimacs(text)
+        assert parse_dimacs(text + "%\n0\n").clauses == ((1, -2, 3), (-1, 2, -3))
+
     def test_rejects_clause_count_mismatch(self):
         with pytest.raises(InputError, match="header promises 2 clauses, found 1"):
             parse_dimacs("p cnf 3 2\n1 2 3 0\n")
@@ -265,17 +272,17 @@ class TestSubsetInstance:
 class TestAssignmentInstance:
     def test_full_kappa_monotone(self):
         space = random_space(random.Random(11), 5, values=[1.0, 2.0], symmetric=True)
-        ot = build_assignment_instance(space, 5)
+        ot = build_assignment_instance(space.n, 5)
         assert ot.arcs == tuple((t, t + 1) for t in range(4))
 
     def test_five_with_prefix_three(self):
         space = random_space(random.Random(13), 5, values=[1.0, 2.0], symmetric=True)
-        ot = build_assignment_instance(space, 3)
+        ot = build_assignment_instance(space.n, 3)
         assert ot.arcs == ((0, 1), (1, 2), (3, 2), (3, 4))
 
     def test_six_three_alternation(self):
         space = random_space(random.Random(17), 6, values=[1.0, 2.0], symmetric=True)
-        ot = build_assignment_instance(space, 3)
+        ot = build_assignment_instance(space.n, 3)
         assert ot.arcs == ((0, 1), (1, 2), (3, 2), (3, 4), (5, 4))
         tail_paths = [p for p in maximal_directed_paths(ot) if p[0] != 0]
         assert all(len(p) == 2 for p in tail_paths)
@@ -284,15 +291,15 @@ class TestAssignmentInstance:
         for n in range(1, 31):
             space = DissimilaritySpace(np.zeros((n, n)))
             for kappa in range(1, n + 1):
-                ot = build_assignment_instance(space, kappa)
+                ot = build_assignment_instance(space.n, kappa)
                 assert list(ot.arcs) == reference_assignment_arcs(n, kappa)
 
     def test_kappa_out_of_range(self):
         space = random_space(random.Random(19), 4, values=[1.0], symmetric=True)
         with pytest.raises(InputError):
-            build_assignment_instance(space, 0)
+            build_assignment_instance(space.n, 0)
         with pytest.raises(InputError):
-            build_assignment_instance(space, 5)
+            build_assignment_instance(space.n, 5)
 
     def test_bijection_exists_iff_robinson_subset(self):
         rng = random.Random(23)
@@ -300,7 +307,7 @@ class TestAssignmentInstance:
             n = rng.randrange(3, 7)
             space = random_space(rng, n, values=[1.0, 2.0], symmetric=True)
             kappa = rng.randrange(1, n + 1)
-            ot = build_assignment_instance(space, kappa)
+            ot = build_assignment_instance(space.n, kappa)
             exists = False
             for perm in permutations(range(n)):
                 relabeled = DissimilaritySpace(space.d[np.ix_(perm, perm)])

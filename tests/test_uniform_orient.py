@@ -38,7 +38,6 @@ from support import (
     random_tree,
     reachability,
     reference_orient_all_robinson,
-    star_tree,
     tree_from_pruefer,
     tree_path,
     triple_one_way,
@@ -62,7 +61,7 @@ class TestVerifyAllPathsRobinson:
         d = np.full((4, 4), 2.0)
         np.fill_diagonal(d, 0.0)
         d[1, 2] = d[2, 1] = 1.0  # leaf-center-leaf triple fails: 1 < max(2, 2)
-        assert not verify_all_paths_robinson(DissimilaritySpace(d), star_tree(4, center=0))
+        assert not verify_all_paths_robinson(DissimilaritySpace(d), Tree.star(4, 0))
 
     def test_planted_robinson_path(self):
         rng = random.Random(3)
@@ -128,7 +127,7 @@ class TestFindCentroid:
         assert find_centroid(path_tree([0, 1, 2, 3, 4])) == 2
 
     def test_star(self):
-        assert find_centroid(star_tree(6, center=0)) == 0
+        assert find_centroid(Tree.star(6, 0)) == 0
 
     def test_broom(self):
         t = Tree(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
@@ -228,7 +227,7 @@ class TestOrientAllRobinson:
         assert count_xi(ot) == 6
 
     def test_constant_star_five(self):
-        ot, xi = orient_all_robinson(constant_space(5), star_tree(5))
+        ot, xi = orient_all_robinson(constant_space(5), Tree.star(5, 0))
         assert xi == 8
 
     def test_single_edge(self):
@@ -271,7 +270,7 @@ class TestOrientAllRobinson:
         legs = [[1 + 3 * k + j for j in range(3)] for k in range(700)]
         spider = Tree(1 + 3 * 700, [e for leg in legs for e in zip([0] + leg, leg)])
         trees = [random_tree(rng, n) for n in (2000, 3001, 5000)]
-        trees += [spider, path_tree(list(range(4000))), star_tree(3000, center=7)]
+        trees += [spider, path_tree(list(range(4000))), Tree.star(3000, 7)]
         trees.append(tree_from_pruefer(2500, [rng.randrange(40) for _ in range(2498)]))
         for t in trees:
             ot, xi = orient_all_robinson(None, t)
@@ -307,7 +306,7 @@ class TestOrientAllRobinson:
         np.fill_diagonal(d, 0.0)
         d[1, 2] = d[2, 1] = 1.0
         space = DissimilaritySpace(d)
-        t = star_tree(4, center=0)
+        t = Tree.star(4, 0)
         with pytest.raises(PreconditionError):
             orient_all_robinson(space, t, verify_premise=True)
         orient_all_robinson(space, t)  # caller's promise: no check, no error
@@ -385,7 +384,7 @@ class TestHasCentralVertex:
         assert has_central_vertex(ot) is None
 
     def test_star_all_out(self):
-        t = star_tree(4, center=0)
+        t = Tree.star(4, 0)
         ot = OrientedTree(t, [(0, 1), (0, 2), (0, 3)])
         assert has_central_vertex(ot) == 0
 
