@@ -101,10 +101,10 @@ class Cnf3:
 
 
 def parse_dimacs(text: str) -> Cnf3:
-    """DIMACS CNF with a `p cnf n m` header; clauses terminated by 0.  A
+    """DIMACS CNF with one `p cnf n m` header; clauses terminated by 0.  A
     line starting with `%` ends the formula, as in SATLIB files, whose
-    trailer is `%` and then `0`.  Clauses with other than three literals
-    are rejected."""
+    trailer is `%` and then `0`.  A second header and clauses with other
+    than three literals are rejected."""
     header: Optional[tuple[int, int]] = None
     literals: list[int] = []
     clauses: list[list[int]] = []
@@ -115,6 +115,8 @@ def parse_dimacs(text: str) -> Cnf3:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header is not None:
+                raise InputError(f"second DIMACS header: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InputError(f"bad DIMACS header: {line!r}")

@@ -15,9 +15,18 @@ center from petal sizes alone, so only the winning star is ever built.
 Each loop is a branch and bound: a center's closure stops as soon as one
 petal grows past a cap beyond which the center can neither win
 (`best_star_center`) nor fit the split (`assign_star`), and the ranking
-stops at the first center whose score reaches the largest possible.  Both
-routines copy d into n^2 Python floats and stay cubic in the worst case, so
-they refuse more than MAX_POINTS points.
+stops at the first center whose score reaches the largest possible.
+
+Before the loop, one O(n^2) numpy pass, `_petal_floor`, bounds every
+center's largest petal from below by the larger of two sets that one petal
+must hold: the points nearer to x's farthest point f than x is, which all
+join f, and, with c the point of least row maximum, the points z with
+d(c,z) < max(d(x,c), d(x,z)), which all join c.  The loop skips each
+center whose floor is above the current cap.  The capped closure returns
+None exactly when some petal grows past the cap, so a skipped center is
+one the closure would have cut off: no answer changes and the lowest-index
+tie rule holds.  Both routines copy d into n^2 Python floats and stay
+cubic in the worst case, so they refuse more than MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -35,10 +44,11 @@ from .uniform_orient import _subset_sum
 # best_star_center and assign_star refuse larger spaces before copying d:
 # the copy is n^2 Python floats and the search stays cubic in the worst
 # case.  The worst family measured, triples where two centers in three have
-# no balanced split and the rest come last, takes 2.4-3.4 s at 495-501
-# points; a line in label order 0.54-0.80 s in best_star_center and 0.52 s
-# in assign_star (direct calls, best of 3), and constant, random 2- and
-# 3-valued and triple spaces under 0.2 s (2-core Xeon, Python 3.11)
+# no balanced split and the rest come last, takes 2.3-4.2 s at 495 points
+# in either routine, as no floor there reaches the cap; a line in label
+# order, where each center beats the last, 0.61-0.63 s in best_star_center
+# and 14 ms in assign_star (direct calls, best of 3), and constant and
+# random 2- and 3-valued spaces under 0.2 s (2-core Xeon, Python 3.11)
 MAX_POINTS = 500
 
 
@@ -104,6 +114,22 @@ def _petal_closure(
     return petals
 
 
+def _petal_floor(d: np.ndarray) -> list[int]:
+    """For every center x of K_{1,n-1}, a lower bound on its largest petal:
+    the larger of two sets that one petal of x contains, in O(n^2).
+
+    Ball: with f a farthest point from x, max(d(x,f), d(x,z)) = d(x,f), so
+    every z with d(f,z) < d(x,f) shares f's petal (f itself too, x never).
+    Hub: with c the point of least row maximum, every z with
+    d(c,z) < max(d(x,c), d(x,z)) shares c's petal; the count is 0 at x = c.
+    """
+    far = d.max(axis=1)
+    ball = (d[d.argmax(axis=1)] < far[:, None]).sum(axis=1)
+    dc = d[far.argmin()]
+    hub = (dc < np.maximum(dc[:, None], d)).sum(axis=1)
+    return np.maximum(ball, hub).tolist()
+
+
 def _guarded_rows(space: DissimilaritySpace) -> list[list[float]]:
     """d as nested lists, for the routines that try every center."""
     if space.n > MAX_POINTS:
@@ -142,18 +168,22 @@ def best_star_center(space: DissimilaritySpace) -> int:
     min(k, m-k) <= m-L and the score is at most L*(m-L), which falls as L
     grows.  Each closure is capped at the largest L >= ceil(m/2) with
     L*(m-L) above the best score so far, so a center cut off cannot
-    strictly beat the best and the lowest-index tie rule holds.  The loop
-    stops at the first score equal to floor(m/2)*ceil(m/2), the largest
-    possible.
+    strictly beat the best and the lowest-index tie rule holds.  A center
+    whose petal floor is above the cap is cut off without a closure.  The
+    loop stops at the first score equal to floor(m/2)*ceil(m/2), the
+    largest possible.
     """
     _require_symmetric(space)
     rows = _guarded_rows(space)
+    floor = _petal_floor(space.d)
     n = space.n
     m = n - 1
     top = (m // 2) * (m - m // 2)
     points = list(range(n))
     best_score, best_center, cap = -1, 0, m
     for center in range(n):
+        if floor[center] > cap:
+            continue
         groups = _petal_closure(rows, center, points[:center] + points[center + 1 :], cap)
         if groups is None:
             continue
@@ -197,7 +227,8 @@ def assign_star(
 
     Bound: every petal goes wholly In or wholly Out, so a petal larger than
     max(in_count, out_count) rules its center out, and each closure is
-    capped there.  A feasible center is never cut off, so the first one and
+    capped there; a center whose petal floor is above the cap is skipped
+    without one.  A feasible center is never cut off, so the first one and
     its witness split are those of the uncapped search.
     """
     _require_symmetric(space)
@@ -207,9 +238,12 @@ def assign_star(
             f"in/out counts ({in_count}, {out_count}) must be nonnegative and sum to n-1"
         )
     rows = _guarded_rows(space)
+    floor = _petal_floor(space.d)
     cap = max(in_count, out_count)
     points = list(range(n))
     for center in range(n):
+        if floor[center] > cap:
+            continue
         groups = _petal_closure(rows, center, points[:center] + points[center + 1 :], cap)
         if groups is None:
             continue

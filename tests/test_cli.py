@@ -271,6 +271,15 @@ class TestExitCodes:
         assert out == ""
         assert "bad DIMACS header: 'p cnf -3 0'" in err
 
+    def test_second_dimacs_header(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
+        code, out, err = run(capsys, "gen", "sat", str(path), "--out-prefix", str(tmp_path / "inst"))
+        assert code == 2
+        assert out == ""
+        assert "error: second DIMACS header: 'p cnf 5 1'" in err
+        assert not list(tmp_path.glob("inst*"))
+
     def test_non_utf8_cnf_file(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_bytes(b"p cnf 3 1\n1 2 \xff 0\n")

@@ -7,7 +7,8 @@ open or a closed StringIO.  Whatever the input: no exception escapes, the
 exit code is 0-3, a YES or NO report opens with its answer line (is one
 JSON object with --json), and an error or refusal prints nothing on stdout
 and one `error:` or `refused:` line on stderr.  At n <= 6, `recognize` and
-`oracle recognize` agree on YES or NO.
+`oracle recognize` agree on YES or NO; at n <= 7 the star commands agree
+with `oracle orient` and the reference center searches.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robinson import InputError
+from robinson import InputError, Tree
 from robinson.cli import main
-from robinson.fileio import read_matrix
+from robinson.fileio import read_matrix, write_tree
+from support import reference_assign_star, reference_best_star_center
 
 # M matrix, T tree, O oriented tree, F DIMACS CNF, G graph, B binary matrix;
 # P is an output prefix, I and J are drawn integers and ORDER a drawn order
@@ -212,3 +214,48 @@ def test_recognize_agrees_with_oracle(tmp_path, content):
         check_contract(code, out, err, True)
     if n <= 6:
         assert fast[0] == slow[0]
+
+
+@st.composite
+def star_cases(draw) -> tuple[str, int, int]:
+    """A symmetric matrix file on n points, n in 1..7, with tied and zero
+    entries off the diagonal, and a center and an in-count in 0..n-1."""
+    n = draw(st.integers(1, 7))
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(["0", "1", "2", "3"]))
+    text = "\n".join([str(n)] + [" ".join(r) for r in rows]) + "\n"
+    return text, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=star_cases())
+def test_star_commands_agree_with_references(tmp_path, case):
+    text, center, in_count = case
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(text)
+    space = read_matrix(matrix)
+    n = space.n
+    tree = tmp_path / "star.tree"
+    write_tree(Tree.star(n, center), tree)
+    reports = {}
+    for name, argv in (
+        ("fixed", ["orient", "star", str(matrix), f"--center={center}"]),
+        ("oracle", ["oracle", "orient", str(matrix), str(tree)]),
+        ("best", ["orient", "star", str(matrix)]),
+    ):
+        code, out, err = run(["--json", *argv])
+        assert code == 0, err
+        reports[name] = json.loads(out)
+    assert reports["fixed"]["xi"] == reports["oracle"]["xi"]
+    assert reports["best"]["center"] == reference_best_star_center(space)
+    code, out, err = run(["--json", "assign", "star", str(matrix),
+                          f"--in={in_count}", f"--out={n - 1 - in_count}"])
+    want = reference_assign_star(space, in_count, n - 1 - in_count)
+    if want is None:
+        assert code == 1
+    else:
+        assert code == 0, err
+        assert json.loads(out)["center"] == want.center

@@ -79,6 +79,10 @@ class TestDimacs:
         assert parse_dimacs(text + "%\n0\n\n") == parse_dimacs(text)
         assert parse_dimacs(text + "%\n0\n").clauses == ((1, -2, 3), (-1, 2, -3))
 
+    def test_rejects_second_header(self):
+        with pytest.raises(InputError, match="second DIMACS header: 'p cnf 5 1'"):
+            parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
+
     def test_rejects_clause_count_mismatch(self):
         with pytest.raises(InputError, match="header promises 2 clauses, found 1"):
             parse_dimacs("p cnf 3 2\n1 2 3 0\n")

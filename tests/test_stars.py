@@ -22,6 +22,7 @@ from robinson.oracle import brute_optimal_orientation
 from robinson.stars import (
     MAX_POINTS,
     _petal_closure,
+    _petal_floor,
     assign_star,
     best_star_center,
     orient_star,
@@ -33,6 +34,7 @@ from support import (
     random_tree,
     reference_assign_star,
     reference_best_star_center,
+    reference_star_petals,
 )
 
 
@@ -305,11 +307,80 @@ class TestOrientStar:
                 assert xi == count_xi(ot)
 
 
+def counted_closures(monkeypatch):
+    """The centers whose petal closure runs, in call order, from now on."""
+    closures = []
+
+    def counted(rows, x, candidates, cap=None):
+        closures.append(x)
+        return _petal_closure(rows, x, candidates, cap)
+
+    monkeypatch.setattr(robinson.stars, "_petal_closure", counted)
+    return closures
+
+
+class TestPetalFloor:
+    @staticmethod
+    def floor_families():
+        """Tied spaces, spokes with the hub at every label, one-petal
+        spaces and lines in label order."""
+        yield from tied_spaces(61, 200)
+        rng = random.Random(67)
+        for rays, length in ((1, 1), (2, 3), (3, 2), (5, 2)):
+            spoke = spoke_space(rays, length)
+            n = spoke.n
+            for hub in range(n):
+                # the hub, labelled n-1 in spoke, becomes point `hub`
+                perm = [*range(hub), n - 1, *range(hub, n - 1)]
+                yield DissimilaritySpace(spoke.d[np.ix_(perm, perm)])
+        for n in (2, 4, 6, 8, 10, 12):
+            yield one_petal_space(rng, n)
+        for n in range(1, 14):
+            yield line_space(rng, n, shuffle=False)
+
+    def test_floor_is_at_most_the_largest_petal(self):
+        for space in self.floor_families():
+            floor = _petal_floor(space.d)
+            for center, groups in reference_star_petals(space):
+                assert floor[center] <= max(map(len, groups), default=0)
+
+    def test_searches_match_references_on_seeded_spaces(self):
+        # n 1-13 with 1-5 values, a third of them with zero off-diagonal
+        # entries, at every in-count
+        rng = random.Random(71)
+        for i in range(300):
+            n = rng.randrange(1, 14)
+            values = [float(v) for v in range(1, rng.randrange(2, 7))]
+            if i % 3 == 0:
+                values.append(0.0)
+            space = random_space(rng, n, values=values, symmetric=True)
+            assert best_star_center(space) == reference_best_star_center(space)
+            for a in range(n):
+                assert assign_star(space, a, n - 1 - a) == reference_assign_star(space, a, n - 1 - a)
+
+    def test_spoke_runs_the_hub_alone(self, monkeypatch):
+        # every center off the hub has a ray past the cap; best_star_center
+        # still runs center 0, since its first cap is n-1
+        space = spoke_space(30, 6)
+        closures = counted_closures(monkeypatch)
+        assert best_star_center(space) == 180
+        assert closures == [0, 180]
+        closures.clear()
+        assert assign_star(space, 18, 162).center == 180
+        assert closures == [180]
+
+    def test_one_petal_no_runs_no_closure(self, monkeypatch):
+        space = one_petal_space(random.Random(73), 200)
+        closures = counted_closures(monkeypatch)
+        assert assign_star(space, 57, 142) is None
+        assert closures == []
+
+
 class TestBestStarCenter:
     @staticmethod
     def every_center(space):
-        """The former CLI loop: a star and its optimal orientation for every
-        center, keeping the first strictly larger xi."""
+        """A star and its optimal orientation for every center, keeping
+        the first strictly larger xi."""
         best = None
         for c in range(space.n):
             ot, xi = orient_star(space, c)
@@ -332,13 +403,7 @@ class TestBestStarCenter:
 
     def test_constant_space_stops_at_first_center(self, monkeypatch):
         # center 0 reaches the largest score, so no other closure runs
-        closures = []
-
-        def counted(rows, x, candidates, cap=None):
-            closures.append(x)
-            return _petal_closure(rows, x, candidates, cap)
-
-        monkeypatch.setattr(robinson.stars, "_petal_closure", counted)
+        closures = counted_closures(monkeypatch)
         assert best_star_center(constant_space(400)) == 0
         assert closures == [0]
 
