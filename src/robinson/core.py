@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -76,6 +77,17 @@ class DissimilaritySpace:
         return DissimilaritySpace(_order_matrix(self, idx), validate=False)
 
 
+def integer_edges(edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Yield each edge as a pair of Python ints.  Endpoints go through
+    operator.index, which takes Python and numpy ints and bools but no
+    float, not even 2.0: int() would truncate 2.5 to vertex 2."""
+    for u, v in edges:
+        try:
+            yield index(u), index(v)
+        except TypeError:
+            raise InputError(f"edge ({u}, {v}) has an endpoint that is not an integer") from None
+
+
 def checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     """Yield each edge after checking it: a self-loop, an endpoint outside
     0..n-1 or a repeat of an earlier edge, in either direction, raises."""
@@ -116,7 +128,7 @@ class Tree:
     _parent: list[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        edge_list = tuple((int(u), int(v)) for u, v in edges)
+        edge_list = tuple(integer_edges(edges))
         if n < 1:
             raise InputError("tree needs at least one vertex")
         if len(edge_list) != n - 1:
@@ -189,7 +201,7 @@ class OrientedTree:
     arcs: tuple[tuple[int, int], ...]
 
     def __init__(self, tree: Tree, arcs: Iterable[tuple[int, int]]):
-        arc_set = {(int(u), int(v)) for u, v in arcs}
+        arc_set = set(integer_edges(arcs))
         if len(arc_set) != len(tree.edges):
             raise InputError(f"expected {len(tree.edges)} arcs, got {len(arc_set)}")
         aligned: list[tuple[int, int]] = []

@@ -27,6 +27,7 @@ from .core import (
     count_xi,
 )
 from .errors import InputError, SizeGuardError
+from .recognition import recognize_two_way
 
 # size guards: largest tree, space and binary matrix each search accepts
 ORIENTATION_MAX_N = 21
@@ -126,8 +127,6 @@ def brute_robinson_subset(
     Subsets are tried in lexicographic order; each is checked with the
     polynomial recognizer (for symmetric d, two-way-Robinson = Robinson).
     """
-    from .recognition import recognize_two_way
-
     if max_subsets < 0:
         raise InputError(f"budget {max_subsets} must be nonnegative")
     n = space.n

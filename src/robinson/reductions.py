@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DissimilaritySpace, OrientedTree, Tree, checked_edges
+from .core import DissimilaritySpace, OrientedTree, Tree, checked_edges, integer_edges
 from .errors import InputError, SizeGuardError
 
 # truth values of the three literals, one row per z-pattern, in the fixed
@@ -155,7 +155,7 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        es = tuple(checked_edges(n, [(int(u), int(v)) for u, v in edges]))
+        es = tuple(checked_edges(n, integer_edges(edges)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", es)
 

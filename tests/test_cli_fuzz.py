@@ -7,8 +7,11 @@ open or a closed StringIO.  Whatever the input: no exception escapes, the
 exit code is 0-3, a YES or NO report opens with its answer line (is one
 JSON object with --json), and an error or refusal prints nothing on stdout
 and one `error:` or `refused:` line on stderr.  At n <= 6, `recognize` and
-`oracle recognize` agree on YES or NO; at n <= 7 the star commands agree
-with `oracle orient` and the reference center searches.
+`oracle recognize` agree on YES or NO.  At n <= 7, on symmetric files: the
+star commands agree with `oracle orient` and the reference center
+searches; `orient path` and, where every tree path is Robinson, `orient
+tree` agree with `oracle orient`; and `check` agrees with the reference
+failing pair and with count_xi.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robinson import InputError, Tree
+from robinson import InputError, Tree, count_xi, verify_all_paths_robinson
 from robinson.cli import main
-from robinson.fileio import read_matrix, write_tree
-from support import reference_assign_star, reference_best_star_center
+from robinson.fileio import read_matrix, read_oriented_tree, write_tree
+from support import reference_assign_star, reference_best_star_center, reference_first_failing_pair
 
 # M matrix, T tree, O oriented tree, F DIMACS CNF, G graph, B binary matrix;
 # P is an output prefix, I and J are drawn integers and ORDER a drawn order
@@ -216,17 +219,38 @@ def test_recognize_agrees_with_oracle(tmp_path, content):
         assert fast[0] == slow[0]
 
 
-@st.composite
-def star_cases(draw) -> tuple[str, int, int]:
-    """A symmetric matrix file on n points, n in 1..7, with tied and zero
-    entries off the diagonal, and a center and an in-count in 0..n-1."""
-    n = draw(st.integers(1, 7))
+def symmetric_text(draw, n: int) -> str:
+    """A symmetric matrix file on n points with tied and zero entries off
+    the diagonal."""
     rows = [["0"] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
             rows[i][j] = rows[j][i] = draw(st.sampled_from(["0", "1", "2", "3"]))
-    text = "\n".join([str(n)] + [" ".join(r) for r in rows]) + "\n"
-    return text, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return "\n".join([str(n)] + [" ".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def star_cases(draw) -> tuple[str, int, int]:
+    """A symmetric matrix file on n points, n in 1..7, and a center and an
+    in-count in 0..n-1."""
+    n = draw(st.integers(1, 7))
+    return symmetric_text(draw, n), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@st.composite
+def tree_cases(draw) -> tuple[str, list[int], list[tuple[int, int]]]:
+    """A symmetric matrix file on n points, n in 1..7, an order of the
+    points, and the arcs of a tree on them with shuffled labels and
+    directions."""
+    n = draw(st.integers(1, 7))
+    text = symmetric_text(draw, n)
+    order = draw(st.permutations(range(n)))
+    label = draw(st.permutations(range(n)))
+    arcs = []
+    for i in range(1, n):
+        u, v = label[i], label[draw(st.integers(0, i - 1))]
+        arcs.append((u, v) if draw(st.booleans()) else (v, u))
+    return text, order, arcs
 
 
 @settings(max_examples=60, deadline=None,
@@ -259,3 +283,34 @@ def test_star_commands_agree_with_references(tmp_path, case):
     else:
         assert code == 0, err
         assert json.loads(out)["center"] == want.center
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=tree_cases())
+def test_tree_commands_agree_with_references(tmp_path, case):
+    text, order, arcs = case
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text(text)
+    space = read_matrix(matrix)
+    n = space.n
+    path, tree = tmp_path / "path.tree", tmp_path / "t.tree"
+    write_tree(Tree(n, list(zip(order, order[1:]))), path)
+    write_tree(Tree(n, arcs), tree)  # edges as drawn: also an oriented-tree file
+    ot = read_oriented_tree(tree)
+
+    def xi(*argv):
+        code, out, err = run(["--json", *map(str, argv)])
+        assert code == 0, err
+        return json.loads(out)["xi"]
+
+    assert xi("orient", "path", matrix, "--order=" + ",".join(map(str, order))) == \
+        xi("oracle", "orient", matrix, path)
+    if verify_all_paths_robinson(space, ot.tree):
+        assert xi("orient", "tree", matrix, tree) == xi("oracle", "orient", matrix, tree)
+    code, out, err = run(["--json", "check", str(matrix), str(tree)])
+    pair = reference_first_failing_pair(space.d, ot)
+    assert code == (0 if pair is None else 1), err
+    report = json.loads(out)
+    assert report["xi"] == count_xi(ot)
+    assert report.get("pair") == (None if pair is None else list(pair))

@@ -137,6 +137,20 @@ class TestConstruction:
         with pytest.raises(InputError):
             Tree(4, [(0, 1), (1, 2), (0, 2)])  # cycle (and disconnected)
 
+    def test_tree_refuses_float_endpoints(self):
+        # int() would truncate 2.5 to vertex 2; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^edge \(1, 2\.5\) has an endpoint that is not an integer$"):
+            Tree(3, [(0, 1), (1, 2.5)])
+        with pytest.raises(InputError, match="not an integer"):
+            Tree(2, [(0, np.float64(1.0))])
+        assert Tree(3, [(np.int64(0), True), (1, np.int32(2))]).edges == ((0, 1), (1, 2))
+
+    def test_oriented_tree_refuses_float_endpoints(self):
+        t = Tree(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match=r"^edge \(1, 2\.9\) has an endpoint that is not an integer$"):
+            OrientedTree(t, [(0, 1), (1, 2.9)])
+        assert OrientedTree(t, [(np.int64(1), False), (True, 2)]).arcs == ((1, 0), (1, 2))
+
     @pytest.mark.parametrize("arcs", [[(0, 1)], [(0, 1), (1, 2), (2, 1)]], ids=["too-few", "too-many"])
     def test_oriented_tree_rejects_wrong_arc_count(self, arcs):
         with pytest.raises(InputError, match=f"expected 2 arcs, got {len(set(arcs))}"):

@@ -261,6 +261,12 @@ class TestSubsetInstance:
                 build(3, edges)
             assert str(exc.value) == message
 
+    def test_graph_refuses_float_endpoints(self):
+        # int() would truncate 1.5 to vertex 1; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^edge \(0, 1\.5\) has an endpoint that is not an integer$"):
+            SimpleGraph(3, [(0, 1.5)])
+        assert SimpleGraph(3, [(np.int64(0), True), (1, 2)]).edges == ((0, 1), (1, 2))
+
     def test_edgeless_graph_rejected(self):
         with pytest.raises(InputError, match="graph needs at least one edge"):
             build_subset_instance(SimpleGraph(3, []))
