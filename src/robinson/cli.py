@@ -268,20 +268,13 @@ def _emit(stream, line: str) -> Optional[OSError]:
     at start, a closed file, or a descriptor that is closed or not open for
     writing (EBADF).  So does a stream whose reader has left (EPIPE).  Any
     other failed write returns its error, for the caller to report or
-    ignore.  After a failed write the stream's descriptor points at
-    os.devnull, so the interpreter's final flush of what is left in the
-    buffer cannot fail at exit.
+    ignore.  The stream and its descriptor are left as they are.
     """
     if stream is None or stream.closed:
         return None
     try:
         print(line, file=stream, flush=True)
     except OSError as exc:
-        with contextlib.suppress(OSError, ValueError):
-            fd = stream.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
         return None if exc.errno in (errno.EPIPE, errno.EBADF) else exc
     return None
 
@@ -317,7 +310,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main as the process, then flush stdout and stderr.  A stream
+    whose flush fails still holds what main could not write, so its
+    descriptor is pointed at os.devnull: the interpreter's final flush at
+    exit then cannot fail, and prints no traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or stream.closed:
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

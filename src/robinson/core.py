@@ -49,7 +49,10 @@ class DissimilaritySpace:
     def __init__(self, d: Iterable[Iterable[float]] | np.ndarray, *, validate: bool = True):
         # one copy, whatever the input: the space never aliases the caller's
         # array, and lists and int arrays are converted straight into it
-        mat = np.array(d, dtype=float)
+        try:
+            mat = np.array(d, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("dissimilarity matrix must be a rectangular array of reals") from None
         if validate:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InputError(f"dissimilarity matrix must be square, got shape {mat.shape}")
@@ -75,6 +78,16 @@ class DissimilaritySpace:
         if not idx:
             raise InputError("restriction needs at least one vertex")
         return DissimilaritySpace(_order_matrix(self, idx), validate=False)
+
+
+def integer(value: int, what: str) -> int:
+    """``value`` as a Python int through operator.index, which takes Python
+    and numpy ints and bools but no float, not even 2.0: int() would
+    truncate 2.5 to 2.  Anything else raises InputError naming ``what``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{what} {value} is not an integer") from None
 
 
 def integer_edges(edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -128,6 +141,7 @@ class Tree:
     _parent: list[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        n = integer(n, "vertex count")
         edge_list = tuple(integer_edges(edges))
         if n < 1:
             raise InputError("tree needs at least one vertex")
@@ -182,6 +196,7 @@ class Tree:
     @classmethod
     def star(cls, n: int, center: int) -> "Tree":
         """The star K_{1,n-1} on 0..n-1: edges (center, v), v ascending."""
+        n, center = integer(n, "vertex count"), integer(center, "center")
         if not 0 <= center < n:
             raise InputError(f"center {center} out of range")
         return cls(n, [(center, v) for v in range(n) if v != center])
@@ -237,7 +252,9 @@ class OrientedTree:
         return tuple(tuple(a) for a in out)
 
 
-def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
+def _order_matrix(space: DissimilaritySpace, order: Sequence[int]) -> np.ndarray:
+    """d permuted into ``order``, checked to be distinct vertices: a copy."""
+    order = [integer(v, "vertex") for v in order]
     if len(order) > space.n:
         raise InputError(f"order of length {len(order)} over a space of {space.n} points")
     seen: set[int] = set()
@@ -247,11 +264,6 @@ def _check_order(space: DissimilaritySpace, order: Sequence[int]) -> None:
         if v in seen:
             raise InputError(f"vertex {v} repeated in order")
         seen.add(v)
-
-
-def _order_matrix(space: DissimilaritySpace, order: Sequence[int]) -> np.ndarray:
-    """d permuted into ``order``, checked to be distinct vertices: a copy."""
-    _check_order(space, order)
     return space.d[np.ix_(order, order)]
 
 

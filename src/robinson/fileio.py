@@ -7,6 +7,12 @@ Graph file: like a tree file but with any number of edge lines.  Binary
 matrix file: first line `rows cols`, then 0/1 rows.  Lines starting with
 `#` are ignored everywhere.
 
+Every file but the CNF is a table, read by _read_table in four steps, the
+first fault found the one reported: the header line, parsed like one row;
+the row count, which a matrix or binary-matrix header promises and a tree
+or graph header does not; all rows in one numpy pass; and only when that
+pass fails, the rows one at a time, to name the first bad one.
+
 Headers and rows go through numpy's text parser: decimal and exponent
 reals, and `nan` and `inf` (the space refuses them as non-finite); integers
 in ASCII digits that fit in 64 bits.  Python-only `1_0` and non-ASCII digits
@@ -32,55 +38,48 @@ def _read_text(path: str | Path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _content_lines(path: str | Path) -> list[str]:
-    lines = map(str.strip, _read_text(path).splitlines())
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+def _read_table(path: str | Path, what: str, dtype: type, header: int = 1,
+                edges: bool = False) -> tuple[list[int], np.ndarray]:
+    """The ``header`` integers of the first content line and the rows below
+    it as one array.  Rows are `u v` pairs when ``edges`` is set; otherwise
+    the header's first integer is the row count and its last the width."""
 
+    def parse(line: str, dt: type) -> np.ndarray | None:  # one line, or None
+        try:
+            return np.loadtxt([line], dt, comments=None, ndmin=2)[0]
+        except ValueError:
+            return None
 
-def _parse_header(lines: list[str], what: str, count: int = 1) -> list[int]:
-    """The ``count`` integers of the header line, parsed like the rows."""
+    lines = [ln for ln in map(str.strip, _read_text(path).splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise InputError(f"{what}: empty file")
-    try:
-        ints = np.loadtxt(lines[:1], np.int64, comments=None, ndmin=2)[0].tolist()
-    except ValueError:
-        ints = []
-    if len(ints) != count:
-        bad = "bad header line" if count == 1 else "bad header"
+    head = parse(lines[0], np.int64)
+    if head is None or len(head) != header:
+        bad = "bad header line" if header == 1 else "bad header"
         raise InputError(f"{what}: {bad} {lines[0]!r}")
-    return ints
-
-
-def _parse_rows(lines: list[str], dtype: type, width: int, what: str, edges=False) -> np.ndarray:
-    """The rows as one (len(lines), width) array, parsed in one C-level
-    pass.  Only when that fails are the rows parsed one at a time, to name
-    the first one that does not parse or has the wrong length."""
-    if not lines:
-        return np.empty((0, width), dtype)  # refused or read as no rows, like an empty list
+    head, rows = head.tolist(), lines[1:]
+    width = 2 if edges else head[-1]
+    if not edges and len(rows) != head[0]:
+        raise InputError(f"{what}: expected {head[0]} rows, found {len(rows)}")
+    if not rows:
+        return head, np.empty((0, width), dtype)  # refused or read as no rows, like an empty list
     try:
-        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+        table = np.loadtxt(rows, dtype, comments=None, ndmin=2)
     except ValueError:
         table = None
     if table is not None and table.shape[1] == width:
-        return table
-    for ln in lines:
-        try:
-            k = np.loadtxt([ln], dtype=dtype, comments=None, ndmin=2).shape[1]
-        except ValueError:
-            k = None
-        if k != width:
+        return head, table
+    for ln in rows:
+        row = parse(ln, dtype)
+        if row is None or len(row) != width:
             raise InputError(f"{what}: bad edge line {ln!r}" if edges
-                             else f"{what}: bad row {ln!r}" if k is None
-                             else f"{what}: row of length {k}, expected {width}")
+                             else f"{what}: bad row {ln!r}" if row is None
+                             else f"{what}: row of length {len(row)}, expected {width}")
     raise AssertionError("rows that fail together must fail one at a time")
 
 
 def read_matrix(path: str | Path) -> DissimilaritySpace:
-    lines = _content_lines(path)
-    [n] = _parse_header(lines, "matrix file")
-    if len(lines) != n + 1:
-        raise InputError(f"matrix file: expected {n} rows, found {len(lines) - 1}")
-    return DissimilaritySpace(_parse_rows(lines[1:], float, n, "matrix file"))
+    return DissimilaritySpace(_read_table(path, "matrix file", float)[1])
 
 
 def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
@@ -92,9 +91,8 @@ def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
 
 def _read_pairs(path: str | Path, what: str) -> tuple[int, list[list[int]]]:
     """Header n and the `u v` lines of a tree, oriented-tree or graph file."""
-    lines = _content_lines(path)
-    [n] = _parse_header(lines, what)
-    return n, _parse_rows(lines[1:], np.int64, 2, what, edges=True).tolist()
+    [n], pairs = _read_table(path, what, np.int64, edges=True)
+    return n, pairs.tolist()
 
 
 def read_tree(path: str | Path) -> Tree:
@@ -121,11 +119,7 @@ def read_graph(path: str | Path) -> SimpleGraph:
 
 
 def read_binary_matrix(path: str | Path) -> BinaryMatrix:
-    lines = _content_lines(path)
-    rows, cols = _parse_header(lines, "binary matrix file", 2)
-    if len(lines) != rows + 1:
-        raise InputError(f"binary matrix file: expected {rows} rows, found {len(lines) - 1}")
-    return BinaryMatrix(_parse_rows(lines[1:], np.int64, cols, "binary matrix file").tolist())
+    return BinaryMatrix(_read_table(path, "binary matrix file", np.int64, header=2)[1].tolist())
 
 
 def read_cnf(path: str | Path) -> Cnf3:

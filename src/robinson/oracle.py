@@ -25,6 +25,7 @@ from .core import (
     VertexOrder,
     check_compatible,
     count_xi,
+    integer,
 )
 from .errors import InputError, SizeGuardError
 from .recognition import recognize_two_way
@@ -60,6 +61,7 @@ def segment(space: DissimilaritySpace, x: int, y: int) -> frozenset[int]:
     """S(x,y) = {t : d(x,y) >= max(d(x,t), d(t,y)) and d(y,x) >= max(d(y,t), d(t,x))},
     the points lying 'between' x and y in every compatible order, found one
     point at a time: the scalar reference for recognition's segment columns."""
+    x, y = integer(x, "segment anchor"), integer(y, "segment anchor")
     if x == y:
         raise InputError("segment anchors must be distinct")
     if not (0 <= x < space.n and 0 <= y < space.n):
@@ -129,7 +131,7 @@ def brute_robinson_subset(
     """
     if max_subsets < 0:
         raise InputError(f"budget {max_subsets} must be nonnegative")
-    n = space.n
+    n, kappa = space.n, integer(kappa, "kappa")
     if not 0 <= kappa <= n:
         raise InputError(f"kappa={kappa} out of range for n={n}")
     if kappa == 0:

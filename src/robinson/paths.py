@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DissimilaritySpace, OrientedTree, Tree, _breaks, _first_breaks
+from .core import DissimilaritySpace, OrientedTree, Tree, _breaks, _first_breaks, integer
 from .errors import InputError, PreconditionError, SizeGuardError
 
 # path orientation refuses larger spaces: the eta table holds an n^2
@@ -39,13 +39,17 @@ class EtaTable:
     expanded: tuple[int, ...]
 
 
-def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> None:
+def _check_path_inputs(space: DissimilaritySpace, order: Sequence[int]) -> list[int]:
+    """The order as Python ints, checked to be a permutation of the space's
+    points, once the space is checked to be small enough and symmetric."""
     if space.n > MAX_POINTS:
         raise SizeGuardError(f"path orientation of {space.n} points exceeds the limit of {MAX_POINTS}")
     if not space.is_symmetric:
         raise PreconditionError("path orientation requires a symmetric dissimilarity")
+    order = [integer(v, "vertex") for v in order]
     if sorted(order) != list(range(space.n)):
         raise InputError("order must be a permutation of all vertices")
+    return order
 
 
 def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
@@ -55,7 +59,7 @@ def eta_table(space: DissimilaritySpace, order: Sequence[int]) -> EtaTable:
     (core._breaks), so eta[i] = min(eta[i+1], first break in row i - 1),
     from eta[n-1] = n-1; a row with no break has its first break at n.
     """
-    _check_path_inputs(space, order)
+    order = _check_path_inputs(space, order)
     first = _first_breaks(_breaks(space.d[np.ix_(order, order)]))
     eta = np.minimum.accumulate((first - 1)[::-1])[::-1].tolist()
     compressed = [(i, e) for i, e in enumerate(eta) if i == 0 or e != eta[i - 1]]

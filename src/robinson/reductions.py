@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DissimilaritySpace, OrientedTree, Tree, checked_edges, integer_edges
+from .core import DissimilaritySpace, OrientedTree, Tree, checked_edges, integer, integer_edges
 from .errors import InputError, SizeGuardError
 
 # truth values of the three literals, one row per z-pattern, in the fixed
@@ -80,7 +80,8 @@ class Cnf3:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
-        cl = tuple(tuple(int(x) for x in c) for c in clauses)
+        num_vars = integer(num_vars, "variable count")
+        cl = tuple(tuple(integer(x, "literal") for x in c) for c in clauses)
         if num_vars < 1:
             raise InputError("formula needs at least one variable")
         for c in cl:
@@ -155,6 +156,7 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        n = integer(n, "vertex count")
         es = tuple(checked_edges(n, integer_edges(edges)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", es)
@@ -293,6 +295,7 @@ def build_assignment_instance(n: int, kappa: int) -> OrientedTree:
     of size kappa on the monotone prefix: positions 1..kappa run forward,
     the tail alternates so every maximal directed path there has a single
     edge."""
+    n, kappa = integer(n, "vertex count"), integer(kappa, "kappa")
     if not 1 <= kappa <= n:
         raise InputError(f"kappa={kappa} out of range for n={n}")
     # edge t joins positions t-1 and t; from t = kappa on, every other

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import uniform_orient
-from .core import DissimilaritySpace, OrientedTree, Tree
+from .core import DissimilaritySpace, OrientedTree, Tree, integer
 from .errors import InputError, PreconditionError, SizeGuardError
 from .uniform_orient import _subset_sum
 
@@ -168,6 +168,7 @@ def petals(space: DissimilaritySpace, t: Tree, x: int) -> PetalPartition:
     _require_symmetric(space)
     if space.n != t.n:
         raise InputError(f"space has {space.n} points but tree has {t.n} vertices")
+    x = integer(x, "center")
     if not 0 <= x < t.n:
         raise InputError(f"center {x} out of range")
     local = [x, *(u ^ v ^ x for u, v in t.edges if u == x or v == x)]  # i is vertex local[i]
@@ -247,6 +248,7 @@ def assign_star(
     """
     _require_symmetric(space)
     n = space.n
+    in_count, out_count = integer(in_count, "in count"), integer(out_count, "out count")
     if in_count < 0 or out_count < 0 or in_count + out_count != n - 1:
         raise InputError(
             f"in/out counts ({in_count}, {out_count}) must be nonnegative and sum to n-1"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import DissimilaritySpace, OrientedTree, Tree, failing_pair
+from .core import DissimilaritySpace, OrientedTree, Tree, failing_pair, integer
 from .errors import InputError, PreconditionError, SizeGuardError
 
 # the premise check refuses larger trees: it tests all n^2 ordered pairs in
@@ -81,6 +81,8 @@ def optimal_partition_of_neighbors(
     sizes, with one index subset attaining it (ties broken toward
     exclusion); it maximizes |In|*|Out| over achievable splits.
     """
+    weights = [integer(w, "component weight") for w in weights]
+    n = integer(n, "vertex count")
     total = sum(weights)
     for w in weights:
         if w < 1:

@@ -3,9 +3,11 @@ orient-then-check round trips."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +128,33 @@ class TestExitCodes:
         path = tmp_path / "m.matrix"
         path.write_text(text)
         assert run(capsys, "recognize", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, text, message", [
+        ("orient tree", "", "tree file: empty file"),
+        ("orient tree", "x\n", "tree file: bad header line 'x'"),
+        ("orient tree", "3\n0 1\n1 x\n", "tree file: bad edge line '1 x'"),
+        ("orient tree", "3\n0 x\n0 1 2\n", "tree file: bad edge line '0 x'"),
+        ("check", "3\n0 1\n1 2 3\n", "oriented-tree file: bad edge line '1 2 3'"),
+        ("gen subset", "3\n0 1\n1\n", "graph file: bad edge line '1'"),
+        ("oracle c1p", "3\n", "binary matrix file: bad header '3'"),
+        ("oracle c1p", "3 2\n1 0\n", "binary matrix file: expected 3 rows, found 1"),
+        ("oracle c1p", "3 2\n1 x\n", "binary matrix file: expected 3 rows, found 1"),
+        ("oracle c1p", "2 2\n1 0\n1 0 1\n", "binary matrix file: row of length 3, expected 2"),
+        ("oracle c1p", "2 2\n1 0\n1 x\n", "binary matrix file: bad row '1 x'"),
+        ("oracle c1p", "2 2\n1 0 1\n1 x\n", "binary matrix file: row of length 3, expected 2"),
+    ], ids=["tree-empty", "tree-header", "tree-bad-token", "tree-first-bad-line",
+            "oriented-tree-wide", "graph-short", "binary-header", "binary-too-few-rows",
+            "binary-count-before-row", "binary-ragged", "binary-bad-token", "binary-first-bad-row"])
+    def test_malformed_table_message(self, tmp_path, capsys, command, text, message):
+        # the table file is the command's last file, after a valid matrix
+        matrix, table = tmp_path / "m.matrix", tmp_path / "table"
+        write_matrix(CHAIN3, matrix)
+        table.write_text(text)
+        files = {"orient tree": [matrix, table], "check": [matrix, table],
+                 "gen subset": [table, "--out-prefix", tmp_path / "sub"], "oracle c1p": [table]}
+        argv = [*command.split(), *map(str, files[command])]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_one_point_matrix(self, tmp_path, capsys):
         path = tmp_path / "m.matrix"
@@ -314,6 +343,25 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == code
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "elapsed_ms" in err
+
+    def test_main_leaves_callers_descriptors_alone(self, tmp_path, capsys, monkeypatch):
+        # in-process, a stdout whose reader has left drops the report and
+        # keeps the answer's code; the caller's descriptor stays its pipe,
+        # not redirected to os.devnull for the rest of the process
+        path = tmp_path / "m.matrix"
+        write_matrix(CHAIN3, path)
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        sink = open(write_fd, "w")
+        monkeypatch.setattr(sys, "stdout", sink)
+        try:
+            code = main(["recognize", str(path)])
+            mode = os.fstat(write_fd).st_mode
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                sink.close()  # the report is still buffered, and still cannot be written
+        assert code == 0 and stat.S_ISFIFO(mode)
+        assert capsys.readouterr().err.startswith("elapsed_ms: ")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, fault, code", [

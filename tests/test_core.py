@@ -151,6 +151,30 @@ class TestConstruction:
             OrientedTree(t, [(0, 1), (1, 2.9)])
         assert OrientedTree(t, [(np.int64(1), False), (True, 2)]).arcs == ((1, 0), (1, 2))
 
+    def test_tree_refuses_float_vertex_count(self):
+        # numpy ints and bools still work, and are kept as Python ints
+        with pytest.raises(InputError, match=r"^vertex count 3\.0 is not an integer$"):
+            Tree(3.0, [(0, 1), (1, 2)])
+        assert type(Tree(np.int64(2), [(0, 1)]).n) is int and Tree(True, []).n == 1
+
+    def test_star_refuses_float_size_and_center(self):
+        with pytest.raises(InputError, match=r"^vertex count 3\.0 is not an integer$"):
+            Tree.star(3.0, 1)
+        with pytest.raises(InputError, match=r"^center 1\.0 is not an integer$"):
+            Tree.star(3, 1.0)
+        assert Tree.star(np.int64(3), True).edges == ((1, 0), (1, 2))
+
+    def test_restrict_refuses_float_vertices(self):
+        with pytest.raises(InputError, match=r"^vertex 0\.0 is not an integer$"):
+            ASYM3.restrict([0.0, 1.0])
+        assert ASYM3.restrict([np.int64(2), False]).d.tolist() == [[0.0, 0.5], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("d", [[[0, 1], [1]], [[0, 1j], [1, 0]]], ids=["ragged", "complex"])
+    def test_space_refuses_what_is_not_a_real_matrix(self, d):
+        # numpy's own ValueError and TypeError, which `except InputError` missed
+        with pytest.raises(InputError, match="^dissimilarity matrix must be a rectangular array of reals$"):
+            DissimilaritySpace(d)
+
     @pytest.mark.parametrize("arcs", [[(0, 1)], [(0, 1), (1, 2), (2, 1)]], ids=["too-few", "too-many"])
     def test_oriented_tree_rejects_wrong_arc_count(self, arcs):
         with pytest.raises(InputError, match=f"expected 2 arcs, got {len(set(arcs))}"):
@@ -315,6 +339,13 @@ class TestIsOneWayOrder:
     def test_rejects_duplicates(self):
         with pytest.raises(InputError):
             is_one_way_order(constant_space(3), [0, 1, 0])
+
+    @pytest.mark.parametrize("check", [is_one_way_order, is_two_way_order])
+    def test_refuses_float_vertices(self, check):
+        # numpy's IndexError before; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^vertex 1\.0 is not an integer$"):
+            check(ASYM3, [1.0, 0.0])
+        assert check(ASYM3, [np.int64(1), False])
 
     @pytest.mark.parametrize("check", [is_one_way_order, is_two_way_order])
     def test_rejects_order_longer_than_space(self, check):

@@ -15,6 +15,7 @@ from robinson.oracle import (
     brute_optimal_orientation,
     brute_robinson_subset,
     brute_two_way,
+    segment,
 )
 from robinson.reductions import SimpleGraph, build_subset_instance
 from support import (
@@ -103,6 +104,15 @@ class TestBruteC1p:
             brute_c1p(BinaryMatrix([[1]] * (C1P_MAX_ROWS + 1)))
 
 
+class TestSegment:
+    def test_refuses_float_anchors(self):
+        # numpy's IndexError before; numpy ints and bools still work
+        space = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(InputError, match=r"^segment anchor 0\.0 is not an integer$"):
+            segment(space, 0.0, 1.0)
+        assert segment(space, np.int64(0), 2) == {0, 1, 2} and segment(space, True, 2) == {1, 2}
+
+
 class TestBruteRobinsonSubset:
     def test_kappa_equals_n(self):
         space = DissimilaritySpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -127,6 +137,11 @@ class TestBruteRobinsonSubset:
     def test_kappa_out_of_range(self, kappa):
         with pytest.raises(InputError, match=f"kappa={kappa} out of range for n=3"):
             brute_robinson_subset(constant_space(3), kappa)
+
+    def test_refuses_float_kappa(self):
+        with pytest.raises(InputError, match=r"^kappa 2\.0 is not an integer$"):
+            brute_robinson_subset(constant_space(3), 2.0)
+        assert brute_robinson_subset(constant_space(3), np.int64(2)) == (0, 1)
 
     def test_kappa_zero_is_the_empty_subset(self):
         assert brute_robinson_subset(constant_space(3), 0) == ()

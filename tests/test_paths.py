@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from robinson import DissimilaritySpace, check_compatible, count_xi
-from robinson.errors import PreconditionError
+from robinson.errors import InputError, PreconditionError
 from robinson.oracle import brute_optimal_orientation
 from robinson.paths import eta_table, path_orientation
 from support import lexmin_optimal_path_breakpoints, random_space, triple_one_way
@@ -99,6 +99,12 @@ class TestEtaTable:
 
 
 class TestPathOrientation:
+    def test_refuses_float_vertices(self):
+        # sorted([1.0, 0.0]) passes as a permutation; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^vertex 1\.0 is not an integer$"):
+            path_orientation(line_metric(2), [1.0, 0.0])
+        assert path_orientation(line_metric(2), [np.int64(1), False])[1].arcs == ((1, 0),)
+
     def test_fully_robinson_base_case(self):
         _, ot, xi = path_orientation(line_metric(4), [0, 1, 2, 3])
         assert xi == 6

@@ -279,6 +279,34 @@ class TestSubsetInstance:
             build_orientation_instance(Cnf3(1000, []))  # 1 + 5 * 1000 points
 
 
+class TestIntegerArguments:
+    """Sizes, counts and literals go through operator.index: a float is an
+    InputError, and numpy ints and bools still work as Python ints."""
+
+    def test_cnf_refuses_float_literal(self):
+        # int() would truncate 1.5 to literal 1
+        with pytest.raises(InputError, match=r"^literal 1\.5 is not an integer$"):
+            Cnf3(3, [(1.5, 2, 3)])
+        assert Cnf3(3, [(np.int64(-1), True, 3)]).clauses == ((-1, 1, 3),)
+
+    def test_cnf_refuses_float_variable_count(self):
+        with pytest.raises(InputError, match=r"^variable count 3\.5 is not an integer$"):
+            Cnf3(3.5, [(1, 2, 3)])
+        assert type(Cnf3(np.int64(3), [(1, 2, 3)]).num_vars) is int
+
+    def test_graph_refuses_float_vertex_count(self):
+        with pytest.raises(InputError, match=r"^vertex count 3\.0 is not an integer$"):
+            SimpleGraph(3.0, [(0, 1)])
+        assert type(SimpleGraph(np.int64(3), [(0, 1)]).n) is int
+
+    def test_assignment_instance_refuses_float_sizes(self):
+        with pytest.raises(InputError, match=r"^vertex count 3\.0 is not an integer$"):
+            build_assignment_instance(3.0, 2)
+        with pytest.raises(InputError, match=r"^kappa 2\.0 is not an integer$"):
+            build_assignment_instance(3, 2.0)
+        assert build_assignment_instance(np.int64(3), np.int64(2)).arcs == ((0, 1), (2, 1))
+
+
 class TestAssignmentInstance:
     def test_full_kappa_monotone(self):
         space = random_space(random.Random(11), 5, values=[1.0, 2.0], symmetric=True)

@@ -135,6 +135,12 @@ ONE_PETAL = space_from({(1, 2): 1.0, (2, 3): 1.0}, 4)
 
 
 class TestPetals:
+    def test_refuses_float_center(self):
+        # a TypeError from the edge scan before; numpy ints still work
+        with pytest.raises(InputError, match=r"^center 1\.0 is not an integer$"):
+            petals(constant_space(3), Tree.star(3, 1), 1.0)
+        assert petals(constant_space(3), Tree.star(3, 1), np.int64(1)).petals == ((0,), (2,))
+
     def test_constant_space_singletons(self):
         part = petals(constant_space(5), Tree.star(5, 0), 0)
         assert part.petals == ((1,), (2,), (3,), (4,))
@@ -419,6 +425,12 @@ class TestBestStarCenter:
 
 
 class TestAssignStar:
+    def test_refuses_float_counts(self):
+        # a TypeError from the subset-sum before; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^in count 1\.0 is not an integer$"):
+            assign_star(constant_space(3), 1.0, 1.0)
+        assert assign_star(constant_space(3), np.int64(1), True).in_set == (1,)
+
     def test_constant_space_any_split(self):
         n = 6
         space = constant_space(n)

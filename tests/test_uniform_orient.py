@@ -147,6 +147,12 @@ class TestFindCentroid:
 
 
 class TestOptimalPartition:
+    def test_refuses_float_weights(self):
+        # a TypeError from the subset-sum before; numpy ints and bools still work
+        with pytest.raises(InputError, match=r"^component weight 1\.0 is not an integer$"):
+            optimal_partition_of_neighbors([1.0, 1.0], 3)
+        assert optimal_partition_of_neighbors([np.int64(1), True], np.int64(3)) == (1, (0,))
+
     def test_weights_one_two(self):
         best, chosen = optimal_partition_of_neighbors([1, 2], 4)
         assert best == 2
