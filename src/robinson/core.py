@@ -41,16 +41,24 @@ VertexOrder = tuple[int, ...]
 @dataclass(frozen=True, eq=False)
 class DissimilaritySpace:
     """A set of n points with a nonnegative dissimilarity d, zero on the
-    diagonal.  Symmetry is NOT required."""
+    diagonal.  Symmetry is NOT required.  d is a square array or nested
+    list of bools, integers or reals; complex, string and bytes entries
+    are refused."""
 
     n: int
     d: np.ndarray
 
     def __init__(self, d: Iterable[Iterable[float]] | np.ndarray, *, validate: bool = True):
-        # one copy, whatever the input: the space never aliases the caller's
-        # array, and lists and int arrays are converted straight into it
+        # an array is copied once, into float: the space never aliases the
+        # caller's array, and int and uint64 arrays convert straight into
+        # it.  A list is made an array first, so that its kind is checked
+        # too: the float cast would drop an imaginary part or parse `1_0`
+        # with Python's float()
         try:
-            mat = np.array(d, dtype=float)
+            mat = np.asarray(d)
+            if mat.dtype.kind not in "biufO":
+                raise TypeError
+            mat = np.array(mat, dtype=float)
         except (TypeError, ValueError):
             raise InputError("dissimilarity matrix must be a rectangular array of reals") from None
         if validate:

@@ -16,7 +16,12 @@ pass fails, the rows one at a time, to name the first bad one.
 Headers and rows go through numpy's text parser: decimal and exponent
 reals, and `nan` and `inf` (the space refuses them as non-finite); integers
 in ASCII digits that fit in 64 bits.  Python-only `1_0` and non-ASCII digits
-fail.
+fail.  A matrix's rows are parsed as uint64 first, which reads integer text
+faster than the real parse; any sign, fraction, exponent or entry of 2**64
+or more fails that pass and the rows take the real parse.
+The space's cast of the uint64 table to float rounds to nearest, as float()
+does on the same digits, so both passes give float() of each token.
+write_matrix spells a matrix that the uint64 pass would take as integers.
 """
 
 from __future__ import annotations
@@ -38,11 +43,13 @@ def _read_text(path: str | Path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_table(path: str | Path, what: str, dtype: type, header: int = 1,
+def _read_table(path: str | Path, what: str, dtypes: tuple[type, ...], header: int = 1,
                 edges: bool = False) -> tuple[list[int], np.ndarray]:
     """The ``header`` integers of the first content line and the rows below
     it as one array.  Rows are `u v` pairs when ``edges`` is set; otherwise
-    the header's first integer is the row count and its last the width."""
+    the header's first integer is the row count and its last the width.
+    The rows are parsed as each of ``dtypes`` in turn until one pass takes
+    them all; the last dtype also names the first bad row."""
 
     def parse(line: str, dt: type) -> np.ndarray | None:  # one line, or None
         try:
@@ -57,18 +64,19 @@ def _read_table(path: str | Path, what: str, dtype: type, header: int = 1,
     if head is None or len(head) != header:
         bad = "bad header line" if header == 1 else "bad header"
         raise InputError(f"{what}: {bad} {lines[0]!r}")
-    head, rows = head.tolist(), lines[1:]
+    head, rows, dtype = head.tolist(), lines[1:], dtypes[-1]
     width = 2 if edges else head[-1]
     if not edges and len(rows) != head[0]:
         raise InputError(f"{what}: expected {head[0]} rows, found {len(rows)}")
     if not rows:
         return head, np.empty((0, width), dtype)  # refused or read as no rows, like an empty list
-    try:
-        table = np.loadtxt(rows, dtype, comments=None, ndmin=2)
-    except ValueError:
-        table = None
-    if table is not None and table.shape[1] == width:
-        return head, table
+    for dt in dtypes:
+        try:
+            table = np.loadtxt(rows, dt, comments=None, ndmin=2)
+        except ValueError:
+            continue
+        if table.shape[1] == width:
+            return head, table
     for ln in rows:
         row = parse(ln, dtype)
         if row is None or len(row) != width:
@@ -79,19 +87,26 @@ def _read_table(path: str | Path, what: str, dtype: type, header: int = 1,
 
 
 def read_matrix(path: str | Path) -> DissimilaritySpace:
-    return DissimilaritySpace(_read_table(path, "matrix file", float)[1])
+    # the space's one float copy converts a uint64 table
+    return DissimilaritySpace(_read_table(path, "matrix file", (np.uint64, float))[1])
 
 
 def write_matrix(space: DissimilaritySpace, path: str | Path) -> None:
-    lines = [str(space.n)]
-    for row in space.d:
-        lines.append(" ".join(repr(float(x)) for x in row))  # repr round-trips exactly
+    d = space.d
+    # when read_matrix's uint64 pass would take every entry, write them as
+    # integers; otherwise the real parse reads the file whatever the
+    # spelling, and repr round-trips each entry exactly, -0.0 included
+    if not np.signbit(d).any() and (d < 2.0**64).all() and (d % 1 == 0).all():
+        rows, spell = d.astype(np.uint64).tolist(), str
+    else:
+        rows, spell = d.tolist(), repr
+    lines = [str(space.n)] + [" ".join(map(spell, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _read_pairs(path: str | Path, what: str) -> tuple[int, list[list[int]]]:
     """Header n and the `u v` lines of a tree, oriented-tree or graph file."""
-    [n], pairs = _read_table(path, what, np.int64, edges=True)
+    [n], pairs = _read_table(path, what, (np.int64,), edges=True)
     return n, pairs.tolist()
 
 
@@ -119,7 +134,7 @@ def read_graph(path: str | Path) -> SimpleGraph:
 
 
 def read_binary_matrix(path: str | Path) -> BinaryMatrix:
-    return BinaryMatrix(_read_table(path, "binary matrix file", np.int64, header=2)[1].tolist())
+    return BinaryMatrix(_read_table(path, "binary matrix file", (np.int64,), header=2)[1].tolist())
 
 
 def read_cnf(path: str | Path) -> Cnf3:

@@ -169,11 +169,26 @@ class TestConstruction:
             ASYM3.restrict([0.0, 1.0])
         assert ASYM3.restrict([np.int64(2), False]).d.tolist() == [[0.0, 0.5], [2.0, 0.0]]
 
-    @pytest.mark.parametrize("d", [[[0, 1], [1]], [[0, 1j], [1, 0]]], ids=["ragged", "complex"])
+    @pytest.mark.parametrize(
+        "d",
+        [[[0, 1], [1]], [[0, 1j], [1, 0]], np.array([[0, 1 + 2j], [1, 0]]),
+         [["0", "1_0"], ["1", "0"]], np.array([[b"0", b"1"], [b"1", b"0"]])],
+        ids=["ragged", "complex", "complex-array", "strings", "bytes-array"])
     def test_space_refuses_what_is_not_a_real_matrix(self, d):
-        # numpy's own ValueError and TypeError, which `except InputError` missed
+        # numpy's own ValueError and TypeError, which `except InputError`
+        # missed, and the float casts that drop an imaginary part (with only
+        # a ComplexWarning) or read "1_0" as 10
         with pytest.raises(InputError, match="^dissimilarity matrix must be a rectangular array of reals$"):
             DissimilaritySpace(d)
+
+    @pytest.mark.parametrize("d", [[[False, True], [True, False]], np.array([[0, 1], [1, 0]], np.int8),
+                                   np.array([[0, 2**64 - 1], [1, 0]], np.uint64),
+                                   np.array([[0, 1], [1, 0]], np.float32), [[0, 2**70], [1, 0]]],
+                             ids=["bool", "int8", "uint64", "float32", "python-int"])
+    def test_space_takes_bools_integers_and_reals(self, d):
+        got = DissimilaritySpace(d).d
+        assert got.dtype == np.float64
+        assert got.tolist() == [[0.0, float(np.asarray(d, dtype=object)[0, 1])], [1.0, 0.0]]
 
     @pytest.mark.parametrize("arcs", [[(0, 1)], [(0, 1), (1, 2), (2, 1)]], ids=["too-few", "too-many"])
     def test_oriented_tree_rejects_wrong_arc_count(self, arcs):
