@@ -53,12 +53,12 @@ class DissimilaritySpace:
         # caller's array, and int and uint64 arrays convert straight into
         # it.  A list is made an array first, so that its kind is checked
         # too: the float cast would drop an imaginary part or parse `1_0`
-        # with Python's float()
+        # with Python's float().  That array is new, so a float one is kept
         try:
             mat = np.asarray(d)
             if mat.dtype.kind not in "biufO":
                 raise TypeError
-            mat = np.array(mat, dtype=float)
+            mat = mat.astype(float, copy=not isinstance(d, (list, tuple)))
         except (TypeError, ValueError):
             raise InputError("dissimilarity matrix must be a rectangular array of reals") from None
         if validate:

@@ -26,6 +26,7 @@ write_matrix spells a matrix that the uint64 pass would take as integers.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,16 @@ def _read_text(path: str | Path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _loadtxt(rows: list[str], dt: type) -> np.ndarray:
+    """``rows`` parsed as a 2-D array of ``dt``.  numpy releases before the
+    end of a 1.23 deprecation parse an integer token that fails as a real and
+    cast it (`0.5` to 0, `-3` to garbage) with only a DeprecationWarning;
+    made an error, numpy raises ValueError there, as later releases do."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(rows, dt, comments=None, ndmin=2)
+
+
 def _read_table(path: str | Path, what: str, dtypes: tuple[type, ...], header: int = 1,
                 edges: bool = False) -> tuple[list[int], np.ndarray]:
     """The ``header`` integers of the first content line and the rows below
@@ -53,7 +64,7 @@ def _read_table(path: str | Path, what: str, dtypes: tuple[type, ...], header: i
 
     def parse(line: str, dt: type) -> np.ndarray | None:  # one line, or None
         try:
-            return np.loadtxt([line], dt, comments=None, ndmin=2)[0]
+            return _loadtxt([line], dt)[0]
         except ValueError:
             return None
 
@@ -72,7 +83,7 @@ def _read_table(path: str | Path, what: str, dtypes: tuple[type, ...], header: i
         return head, np.empty((0, width), dtype)  # refused or read as no rows, like an empty list
     for dt in dtypes:
         try:
-            table = np.loadtxt(rows, dt, comments=None, ndmin=2)
+            table = _loadtxt(rows, dt)
         except ValueError:
             continue
         if table.shape[1] == width:

@@ -4,6 +4,8 @@ write_matrix then read_matrix gives back the same bits."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +101,45 @@ def test_integer_rows_take_the_integer_pass(tmp_path):
         path = tmp_path / "m.matrix"
         path.write_text("2\n" + text)
         assert _read_table(path, "matrix file", (np.uint64, float))[1].dtype == dtype
+
+
+def test_integer_passes_refuse_what_older_numpy_casts(tmp_path, monkeypatch):
+    # numpy releases before the end of a 1.23 deprecation parse an integer
+    # token that fails as a real, cast it and only warn; with that warning an
+    # error they raise ValueError.  Emulated here, the readers must still
+    # read float() of each token and refuse reals where integers belong
+    loadtxt = np.loadtxt
+
+    def older_loadtxt(rows, dtype, **kwargs):
+        try:
+            return loadtxt(rows, dtype, **kwargs)
+        except ValueError:
+            if np.dtype(dtype).kind not in "iu":
+                raise
+            reals = loadtxt(rows, float, **kwargs)
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string") from exc
+            with np.errstate(invalid="ignore"):
+                return reals.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", older_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert np.loadtxt(["0.5 -0"], np.uint64).tolist() == [0, 0]  # the cast it emulates
+    for text in ["2\n0 0.5\n0.5 0\n", "2\n-0 1\n1 0\n", "2\n0 1e3\n7 0\n"]:
+        path = tmp_path / "m.matrix"
+        path.write_text(text)
+        got, want = read_matrix(path).d, reference_read_matrix(path).d
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for reader, text in [(read_matrix, "2\n0 -3\n3 0\n"), (read_matrix, "2.0\n0 1\n1 0\n"),
+                         (read_tree, "2\n0 1.0\n"), (read_binary_matrix, "1 2\n0 0.5\n")]:
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            reader(path)
 
 
 REAL = st.one_of(
